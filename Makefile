@@ -4,7 +4,7 @@ GO ?= go
 # the last line that supports the go.mod Go version; bump both together.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race race-multicore bench bench-submit bench-submit-smoke bench-serve bench-serve-smoke bench-recover bench-recover-smoke bench-net bench-net-smoke bench-batch bench-batch-smoke bench-trace bench-trace-smoke bench-scale bench-scale-smoke bench-arena bench-arena-smoke bench-cluster bench-cluster-smoke net-smoke gateway-smoke obs-smoke crash-smoke fuzz-smoke verify fmt vet staticcheck experiments clean
+.PHONY: all build test race race-multicore bench bench-submit bench-submit-smoke bench-serve bench-serve-smoke bench-recover bench-recover-smoke bench-net bench-net-smoke bench-batch bench-batch-smoke bench-trace bench-trace-smoke bench-scale bench-scale-smoke bench-arena bench-arena-smoke bench-cluster bench-cluster-smoke net-smoke gateway-smoke obs-smoke crash-smoke fuzz-smoke perfbench-test verify fmt vet staticcheck experiments clean
 
 all: build
 
@@ -213,6 +213,14 @@ crash-smoke:
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz 'FuzzSlackBoundary' -fuzztime 10s ./internal/job/
 	$(GO) test -race -run '^$$' -fuzz 'FuzzGenerators' -fuzztime 10s ./internal/workload/
+	$(GO) test -race -run '^$$' -fuzz 'FuzzDeltaCommitImportState' -fuzztime 10s ./internal/policy/
+
+# perfbench-test builds, vets and unit-tests the benchmark program
+# (perfbench/, its own module with a replace onto this one), so an
+# internal API change that breaks the benchmark's build fails here
+# rather than only when the benchmark next runs. It edits nothing.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # verify is the CI gate: formatting, static checks, a full build and the
 # race-enabled test suite (which includes the zero-alloc observability

@@ -381,19 +381,23 @@ func TestDrainPromotesStandby(t *testing.T) {
 		m    = 2
 		eps  = 0.5
 	)
+	inst := workload.Poisson(workload.Spec{N: 600, Eps: eps, M: m, Load: 2, Seed: 17})
 	pb := startBackend(t, 2, m, eps, spec)
 	sb := startBackend(t, 2, m, eps, spec)
 	gw, err := New(
 		[]BackendSpec{{Primary: pb.addr(), Standby: sb.addr()}},
 		WithJournal(),
 		WithProbeInterval(0),
+		// Room for every job's mirror batch: whether the mirror-lag bound
+		// sheds depends on how the host schedules the standby, and that
+		// path has its own test (TestMirrorLagSheds).
+		WithMirrorDepth(len(inst)),
 	)
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)
 	}
 	defer gw.Close()
 
-	inst := workload.Poisson(workload.Spec{N: 600, Eps: eps, M: m, Load: 2, Seed: 17})
 	half := len(inst) / 2
 	for _, j := range inst[:half] {
 		if _, err := gw.Submit(j); err != nil {

@@ -31,10 +31,21 @@ const TimeEps = 1e-12
 
 // Eq reports whether two times are equal within TimeEps (relative to their
 // magnitude, with an absolute floor for values near zero).
+//
+// The scale is max(1, |a|, |b|) by plain comparisons rather than
+// math.Max, which is not inlined on amd64 and sits on every placement
+// decision. The two agree whenever neither input is NaN (absolute values
+// are never −0), and with a NaN input diff is NaN, so both report false.
 func Eq(a, b float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return diff <= TimeEps*scale
+	aa, ab := math.Abs(a), math.Abs(b)
+	scale := 1.0
+	if aa > scale {
+		scale = aa
+	}
+	if ab > scale {
+		scale = ab
+	}
+	return math.Abs(a-b) <= TimeEps*scale
 }
 
 // Less reports whether a < b beyond tolerance.

@@ -45,9 +45,28 @@ type DeltaCommit struct {
 	delta float64
 	now   float64
 	// machines[i] is machine i's booked timeline, sorted by Start,
-	// non-overlapping. Pending slots (Committed=false) are promised but
-	// not yet bound; advance flips them at their trigger.
+	// non-overlapping. A slot's stored Committed flag is only its value
+	// at insert or import; committed reads the live one.
 	machines [][]dcSlot
+
+	// The placement index. While endsSorted holds, every timeline's End
+	// is non-decreasing too (true of any non-overlapping timeline except
+	// when a zero or near-zero Proc lands within tolerance of a
+	// neighbour), so expired slots form a prefix, the first slot that
+	// can matter for a start ≥ lo is found by binary search, and the
+	// per-machine summaries below bound where a gap can be. Once a
+	// timeline breaks the order the policy falls back to full scans
+	// until every timeline is ordered again.
+	endsSorted bool
+	// nextExpiry is the earliest End among the machines' first slots:
+	// advance has nothing to prune while now < nextExpiry.
+	nextExpiry float64
+	// firstStart[i] and lastEnd[i] are the Start of machine i's first
+	// slot and the End of its last (±Inf when empty); maxGap[i] is its
+	// largest Start[k+1]−End[k] (−Inf below two slots).
+	firstStart []float64
+	lastEnd    []float64
+	maxGap     []float64
 }
 
 // dcSlot is one booked interval [Start, End) on a machine.
@@ -69,7 +88,12 @@ func NewDeltaCommit(m int, delta float64) (*DeltaCommit, error) {
 	if !(delta > 0 && delta <= 1) {
 		return nil, fmt.Errorf("policy: delta-commit delta=%g must be in (0, 1]", delta)
 	}
-	return &DeltaCommit{m: m, delta: delta, machines: make([][]dcSlot, m)}, nil
+	d := &DeltaCommit{
+		m: m, delta: delta, machines: make([][]dcSlot, m),
+		firstStart: make([]float64, m), lastEnd: make([]float64, m), maxGap: make([]float64, m),
+	}
+	d.reindex()
+	return d, nil
 }
 
 // DeltaCommitSpec formats the canonical spec for a δ value.
@@ -92,10 +116,19 @@ func (d *DeltaCommit) Reset() {
 	for i := range d.machines {
 		d.machines[i] = nil
 	}
+	d.reindex()
 }
 
 // Now implements AdmissionPolicy.
 func (d *DeltaCommit) Now() float64 { return d.now }
+
+// committed reports whether s is bound to its machine: it was at insert
+// or import, or the clock has since passed its trigger. The clock is
+// monotone, so this is the flag an eager flip at every advance would
+// have stored.
+func (d *DeltaCommit) committed(s dcSlot) bool {
+	return s.Committed || job.LessEq(s.Trigger, d.now)
+}
 
 // Pending returns how many admitted jobs are still awaiting their
 // commitment trigger.
@@ -103,7 +136,7 @@ func (d *DeltaCommit) Pending() int {
 	n := 0
 	for _, slots := range d.machines {
 		for _, s := range slots {
-			if !s.Committed {
+			if !d.committed(s) {
 				n++
 			}
 		}
@@ -130,36 +163,99 @@ func (d *DeltaCommit) TotalLoad() float64 {
 	return sum
 }
 
-// advance moves the clock to t, matures every pending slot whose
-// trigger has passed, and prunes slots that ended entirely in the past
-// (a pruned slot is always committed first: End ≥ τ + p > τ). Pruning
-// never changes a future decision — placement only looks at intervals
-// overlapping [now, ∞) — it just keeps timelines short.
+// advance moves the clock to t and prunes slots that ended entirely in
+// the past. Pruning never changes a future decision — placement only
+// looks at intervals overlapping [now, ∞) — it just keeps timelines
+// short. With ends sorted the expired slots are each timeline's prefix,
+// compacted in place, and nothing is touched until the clock reaches
+// nextExpiry.
 func (d *DeltaCommit) advance(t float64) {
 	if t > d.now {
 		d.now = t
 	}
+	if !d.endsSorted {
+		d.pruneAll()
+		return
+	}
+	if !(d.nextExpiry <= d.now) {
+		return
+	}
+	next := math.Inf(1)
+	for i, slots := range d.machines {
+		if len(slots) > 0 && slots[0].End <= d.now {
+			k := 1
+			for k < len(slots) && slots[k].End <= d.now {
+				k++
+			}
+			slots = slots[:copy(slots, slots[k:])]
+			d.machines[i] = slots
+			d.summarize(i)
+		}
+		if len(slots) > 0 && slots[0].End < next {
+			next = slots[0].End
+		}
+	}
+	d.nextExpiry = next
+}
+
+// pruneAll is advance's fallback while some timeline's ends are out of
+// order: it drops every expired slot wherever it sits, and rebuilds the
+// index once every timeline is ordered again.
+func (d *DeltaCommit) pruneAll() {
 	for i, slots := range d.machines {
 		keep := slots[:0]
 		for _, s := range slots {
-			if !s.Committed && job.LessEq(s.Trigger, d.now) {
-				s.Committed = true
+			if s.End > d.now {
+				keep = append(keep, s)
 			}
-			if s.End <= d.now {
-				continue
-			}
-			keep = append(keep, s)
 		}
 		d.machines[i] = keep
 	}
+	d.reindex()
 }
 
-// earliestStart finds the earliest feasible start ≥ lo on machine i's
-// timeline with room for p before deadline. Timelines are sorted and
-// non-overlapping, so one forward scan suffices.
-func (d *DeltaCommit) earliestStart(i int, lo, p, deadline float64) (float64, bool) {
+// reindex recomputes endsSorted, nextExpiry and every machine summary
+// from the timelines.
+func (d *DeltaCommit) reindex() {
+	d.endsSorted = true
+	d.nextExpiry = math.Inf(1)
+	for i, slots := range d.machines {
+		for k := 1; k < len(slots); k++ {
+			if slots[k].End < slots[k-1].End {
+				d.endsSorted = false
+			}
+		}
+		if len(slots) > 0 && slots[0].End < d.nextExpiry {
+			d.nextExpiry = slots[0].End
+		}
+		d.summarize(i)
+	}
+}
+
+// summarize recomputes machine i's first start, last end and largest
+// internal gap.
+func (d *DeltaCommit) summarize(i int) {
+	slots := d.machines[i]
+	d.firstStart[i], d.lastEnd[i], d.maxGap[i] = math.Inf(1), math.Inf(-1), math.Inf(-1)
+	if len(slots) == 0 {
+		return
+	}
+	d.firstStart[i], d.lastEnd[i] = slots[0].Start, slots[len(slots)-1].End
+	for k := 1; k < len(slots); k++ {
+		if g := slots[k].Start - slots[k-1].End; g > d.maxGap[i] {
+			d.maxGap[i] = g
+		}
+	}
+}
+
+// scan finds the earliest feasible start ≥ lo among slots with room for
+// p before deadline, giving up once the start can no longer beat bound.
+// Timelines are sorted and non-overlapping, so one forward scan
+// suffices; the candidate only grows, so once it misses the deadline or
+// reaches bound no later slot can help.
+func scan(slots []dcSlot, lo, p, deadline, bound float64) (float64, bool) {
 	cand := lo
-	for _, s := range d.machines[i] {
+	for _, s := range slots {
 		if job.LessEq(s.End, cand) {
 			continue // entirely before the candidate
 		}
@@ -167,6 +263,9 @@ func (d *DeltaCommit) earliestStart(i int, lo, p, deadline float64) (float64, bo
 			break // fits in the gap before this slot
 		}
 		cand = s.End // overlap: push past it
+		if cand >= bound || !job.LessEq(cand+p, deadline) {
+			return 0, false
+		}
 	}
 	if !job.LessEq(cand+p, deadline) {
 		return 0, false
@@ -174,7 +273,57 @@ func (d *DeltaCommit) earliestStart(i int, lo, p, deadline float64) (float64, bo
 	return cand, true
 }
 
-// insert places a slot on machine i, keeping the timeline sorted.
+// placeMargin scales the summary filter's slack: a thousand times
+// job.TimeEps, far above the tolerance plus float rounding any
+// comparison in scan can contribute at the same magnitude.
+const placeMargin = 1e3 * job.TimeEps
+
+// place returns the machine with the earliest feasible start ≥ lo for a
+// job of length p due at deadline (ties to the lowest index), or -1.
+func (d *DeltaCommit) place(lo, p, deadline float64) (best int, bestStart float64) {
+	best, bestStart = -1, math.Inf(1)
+	fast := d.endsSorted && p >= 0 &&
+		!math.IsInf(lo, 0) && !math.IsNaN(lo) && !math.IsInf(deadline, 0) && !math.IsNaN(deadline) && !math.IsInf(p, 0)
+	if !fast {
+		for i, slots := range d.machines {
+			if start, ok := scan(slots, lo, p, deadline, math.Inf(1)); ok && start < bestStart {
+				best, bestStart = i, start
+			}
+		}
+		return best, bestStart
+	}
+	// A machine can host the job only after its last slot (A), before
+	// its first (B) or in an internal gap of at least p (C), each up to
+	// the comparison tolerance; the margin dwarfs that tolerance, so the
+	// filter never skips a machine scan would accept.
+	margin := placeMargin * (1 + math.Abs(lo) + math.Abs(deadline) + p)
+	for i, slots := range d.machines {
+		if !(d.lastEnd[i]+p <= deadline+margin || lo+p <= d.firstStart[i]+margin || d.maxGap[i] >= p-margin) {
+			continue
+		}
+		// Slots ending at or before lo are skipped by scan without
+		// moving the candidate; with ends sorted they are a prefix.
+		k, hi := 0, len(slots)
+		for k < hi {
+			h := int(uint(k+hi) >> 1)
+			if slots[h].End <= lo {
+				k = h + 1
+			} else {
+				hi = h
+			}
+		}
+		if start, ok := scan(slots[k:], lo, p, deadline, bestStart); ok && start < bestStart {
+			best, bestStart = i, start
+			if start == lo {
+				break // every start is ≥ lo, and ties go to the lower index
+			}
+		}
+	}
+	return best, bestStart
+}
+
+// insert places a slot on machine i, keeping the timeline sorted and the
+// index current.
 func (d *DeltaCommit) insert(i int, s dcSlot) {
 	slots := d.machines[i]
 	at := sort.Search(len(slots), func(k int) bool { return slots[k].Start > s.Start })
@@ -182,6 +331,17 @@ func (d *DeltaCommit) insert(i int, s dcSlot) {
 	copy(slots[at+1:], slots[at:])
 	slots[at] = s
 	d.machines[i] = slots
+	if !d.endsSorted {
+		return // pruneAll rebuilds the index
+	}
+	if at > 0 && s.End < slots[at-1].End || at+1 < len(slots) && slots[at+1].End < s.End {
+		d.endsSorted = false
+		return
+	}
+	d.summarize(i)
+	if slots[0].End < d.nextExpiry {
+		d.nextExpiry = slots[0].End
+	}
 }
 
 // Submit implements online.Scheduler. The verdict is immediate and
@@ -200,13 +360,7 @@ func (d *DeltaCommit) Submit(j job.Job) online.Decision {
 	if lo < d.now {
 		lo = d.now
 	}
-	best, bestStart := -1, math.Inf(1)
-	for i := 0; i < d.m; i++ {
-		start, ok := d.earliestStart(i, lo, j.Proc, j.Deadline)
-		if ok && start < bestStart {
-			best, bestStart = i, start
-		}
-	}
+	best, bestStart := d.place(lo, j.Proc, j.Deadline)
 	if best < 0 {
 		return online.Decision{JobID: j.ID}
 	}
@@ -234,6 +388,9 @@ func (d *DeltaCommit) ExportState() (State, error) {
 	ms := make([][]dcSlot, d.m)
 	for i, slots := range d.machines {
 		ms[i] = append([]dcSlot(nil), slots...)
+		for k := range ms[i] {
+			ms[i][k].Committed = d.committed(ms[i][k])
+		}
 	}
 	return marshalState(d.Name(), dcState{M: d.m, Delta: d.delta, Now: d.now, Machines: ms})
 }
@@ -266,7 +423,9 @@ func (d *DeltaCommit) ImportState(s State) error {
 			if sl.End < sl.Start {
 				return fmt.Errorf("policy: delta-commit state machine %d slot %d ends before it starts", i, k)
 			}
-			if k > 0 && sl.Start < slots[k-1].End {
+			// Placement accepts an overlap within tolerance, so the
+			// import check must too.
+			if k > 0 && job.Less(sl.Start, slots[k-1].End) {
 				return fmt.Errorf("policy: delta-commit state machine %d slots %d,%d overlap", i, k-1, k)
 			}
 		}
@@ -275,6 +434,7 @@ func (d *DeltaCommit) ImportState(s State) error {
 	for i := range d.machines {
 		d.machines[i] = append([]dcSlot(nil), st.Machines[i]...)
 	}
+	d.reindex()
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"loadmax/internal/online"
@@ -185,7 +186,9 @@ func (sh *shard) checkpoint() error {
 // WithAdmissionPolicy is allowed only as an assertion: a builder whose
 // spec differs from the manifest's fails loudly, because replaying one
 // policy's commitment log through another would silently re-decide it.
-// The restored service resumes appending to the recovered logs.
+// The restored service resumes appending to the recovered logs. Shards
+// recover concurrently; if any fails, every log already reopened is
+// closed again and the lowest-numbered shard's error is returned.
 func Restore(dir string, opts ...Option) (*Service, error) {
 	start := time.Now()
 	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -222,23 +225,47 @@ func Restore(dir string, opts ...Option) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	var replayed int64
-	for _, sh := range s.shards {
-		n, err := s.recoverShard(sh, &cfg)
-		if err != nil {
-			return nil, err
-		}
-		replayed += n
+	replayed := make([]int64, len(s.shards))
+	errs := make([]error, len(s.shards))
+	var wg sync.WaitGroup
+	for i, sh := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replayed[i], errs[i] = s.recoverShard(sh, &cfg)
+		}()
 	}
-	cfg.reg.Counter("serve_recovery_records_replayed").Add(replayed)
+	wg.Wait()
+	var total int64
+	for i, err := range errs {
+		if err != nil {
+			s.closeWALs()
+			return nil, err // the lowest-index failure, whatever finished first
+		}
+		total += replayed[i]
+	}
+	cfg.reg.Counter("serve_recovery_records_replayed").Add(total)
 	cfg.reg.Gauge("serve_recovery_seconds").Set(time.Since(start).Seconds())
 	s.start()
 	return s, nil
 }
 
+// closeWALs closes every shard log opened so far, for a durable bring-up
+// that fails before the service starts.
+func (s *Service) closeWALs() {
+	for _, sh := range s.shards {
+		if sh.wal != nil {
+			sh.wal.Close()
+			sh.wal = nil
+		}
+	}
+}
+
 // recoverShard rebuilds one shard: snapshot import, verified log replay,
 // counter restoration, and a writer reopened past the valid tail. It
-// runs before the shard goroutine starts, so plain stores are safe.
+// runs before the shard goroutine starts, so plain stores are safe. It
+// must touch nothing outside its own shard (directory, policy instance,
+// log): Restore runs one per shard in parallel.
 func (s *Service) recoverShard(sh *shard, cfg *config) (replayed int64, err error) {
 	d := shardDir(cfg.durDir, sh.id)
 	sh.snapPath = filepath.Join(d, snapshotName)

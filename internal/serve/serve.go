@@ -306,6 +306,7 @@ func New(shards, m int, eps float64, opts ...Option) (*Service, error) {
 	}
 	if cfg.durDir != "" {
 		if err := s.initDurable(&cfg); err != nil {
+			s.closeWALs()
 			return nil, err
 		}
 	}
