@@ -214,6 +214,9 @@ fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz 'FuzzSlackBoundary' -fuzztime 10s ./internal/job/
 	$(GO) test -race -run '^$$' -fuzz 'FuzzGenerators' -fuzztime 10s ./internal/workload/
 	$(GO) test -race -run '^$$' -fuzz 'FuzzDeltaCommitImportState' -fuzztime 10s ./internal/policy/
+	$(GO) test -race -run '^$$' -fuzz 'FuzzThresholdImportState' -fuzztime 10s ./internal/policy/
+	$(GO) test -race -run '^$$' -fuzz 'FuzzGreedyImportState' -fuzztime 10s ./internal/policy/
+	$(GO) test -race -run '^$$' -fuzz 'FuzzWALScan' -fuzztime 10s ./internal/wal/
 
 # perfbench-test builds, vets and unit-tests the benchmark program
 # (perfbench/, its own module with a replace onto this one), so an

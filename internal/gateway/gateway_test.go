@@ -29,7 +29,7 @@ type testBackend struct {
 
 func (b *testBackend) addr() string { return b.srv.Addr().String() }
 
-func startBackend(t *testing.T, shards, m int, eps float64, spec string) *testBackend {
+func startBackend(t *testing.T, shards, m int, eps float64, spec string, opts ...netserve.ServerOption) *testBackend {
 	t.Helper()
 	b, err := policy.Parse(spec)
 	if err != nil {
@@ -40,7 +40,7 @@ func startBackend(t *testing.T, shards, m int, eps float64, spec string) *testBa
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	srv, err := netserve.Serve(svc, "127.0.0.1:0")
+	srv, err := netserve.Serve(svc, "127.0.0.1:0", opts...)
 	if err != nil {
 		svc.Close()
 		t.Fatalf("netserve.Serve: %v", err)
@@ -368,6 +368,53 @@ func TestMirrorLagSheds(t *testing.T) {
 	if lag := gw.Status().Groups[0].MirrorLagJobs; lag != 0 {
 		t.Fatalf("mirror lag %d after flush, want 0", lag)
 	}
+}
+
+// TestMirrorCatchUpCoalesces: a standby that fell behind catches up in
+// as few calls as the frame limit allows, not one per primary batch.
+// With the mirror gated, 300 per-job submissions queue 300 decided
+// batches; once released, the standby reads at most ⌈300/1024⌉+1 submit
+// frames, and still ends bit-identical to the primary.
+func TestMirrorCatchUpCoalesces(t *testing.T) {
+	const spec, n = "threshold", 300
+	pb := startBackend(t, 2, 2, 0.5, spec)
+	sreg := obs.NewRegistry()
+	sb := startBackend(t, 2, 2, 0.5, spec, netserve.WithServerMetrics(sreg))
+
+	gate := make(chan struct{})
+	gw, err := New(
+		[]BackendSpec{{Primary: pb.addr(), Standby: sb.addr()}},
+		WithProbeInterval(0),
+		WithMirrorDepth(n),
+		withMirrorGate(func() { <-gate }),
+	)
+	if err != nil {
+		t.Fatalf("gateway.New: %v", err)
+	}
+	released := false
+	defer func() {
+		if !released {
+			close(gate)
+		}
+		gw.Close()
+	}()
+
+	for _, j := range workload.Poisson(workload.Spec{N: n, Eps: 0.5, M: 4, Load: 2, Seed: 5}) {
+		if _, err := gw.Submit(j); err != nil {
+			t.Fatalf("submit job %d: %v", j.ID, err)
+		}
+	}
+	frames := sreg.Counter("netserve_rx_frames_total")
+	before := frames.Value()
+	close(gate)
+	released = true
+	if err := gw.Close(); err != nil { // flushes the mirror queue
+		t.Fatalf("gateway.Close: %v", err)
+	}
+	if got, limit := frames.Value()-before, int64((n+netserve.MaxBatchJobs-1)/netserve.MaxBatchJobs+1); got > limit {
+		t.Fatalf("standby read %d submit frames to catch up on %d decided jobs, want ≤ %d", got, n, limit)
+	}
+	sameStreams(t, "mirror after catch-up", Streams(pb.svc), Streams(sb.svc))
 }
 
 // TestDrainPromotesStandby pins the planned-maintenance path: draining a

@@ -398,26 +398,42 @@ func (g *group) finish(reqs []*gwReq, callDur int64) {
 // — the flush IS the failover gap-replay.
 func (g *group) mirrorLoop() {
 	defer close(g.mirrorDone)
-	for {
+	flushing := false
+	rec, ok := g.nextMirror(&flushing)
+	for ok {
+		held, more, applied := g.applyMirror(rec)
+		if !applied {
+			if more {
+				g.mirrorLag.Add(-int64(len(held.jobs)))
+			}
+			g.drainMirrorQ()
+			return
+		}
+		if more {
+			rec = held
+		} else {
+			rec, ok = g.nextMirror(&flushing)
+		}
+	}
+}
+
+// nextMirror dequeues the next decided batch. Until mirrorStop closes it
+// waits for one; from then on (flushing) it takes only what is already
+// queued and reports false once the queue is empty.
+func (g *group) nextMirror(flushing *bool) (mirrorRec, bool) {
+	if !*flushing {
 		select {
 		case rec := <-g.mirrorQ:
-			if !g.applyMirror(rec) {
-				g.drainMirrorQ()
-				return
-			}
+			return rec, true
 		case <-g.mirrorStop:
-			for {
-				select {
-				case rec := <-g.mirrorQ:
-					if !g.applyMirror(rec) {
-						g.drainMirrorQ()
-						return
-					}
-				default:
-					return
-				}
-			}
+			*flushing = true
 		}
+	}
+	select {
+	case rec := <-g.mirrorQ:
+		return rec, true
+	default:
+		return mirrorRec{}, false
 	}
 }
 
@@ -435,30 +451,54 @@ func (g *group) drainMirrorQ() {
 	}
 }
 
-// applyMirror replays one decided batch to the standby. Per-shard order
-// is preserved even across shed retries: serve sheds whole shard
-// sub-batches, so the retried subset is exactly the shed shards' jobs
-// in their original relative order. Any hard error loses the standby;
-// any verdict mismatch marks it diverged — both disqualify it from
-// promotion, loudly.
-func (g *group) applyMirror(rec mirrorRec) bool {
+// applyMirror replays first, together with every decided batch already
+// queued behind it, to the standby as one call of at most MaxBatchJobs
+// jobs (first alone may be larger), so a standby that fell behind — a
+// stall, the failover flush — catches up in one round trip per frame
+// rather than one per primary batch. A queued batch that would overflow
+// the call is returned as held, to lead the next one. Per-shard order is
+// preserved even across shed retries: a call within MaxBatchJobs is one
+// frame and serve sheds whole shard sub-batches, so the retried subset
+// is exactly the shed shards' jobs in their original relative order.
+// Any hard error loses the standby; any verdict mismatch marks it
+// diverged — both disqualify it from promotion, loudly. The lag of every
+// batch taken settles when the call ends, whatever its outcome.
+func (g *group) applyMirror(first mirrorRec) (held mirrorRec, more, ok bool) {
+	taken := len(first.jobs)
 	defer func() {
-		g.mirrorLag.Add(-int64(len(rec.jobs)))
+		g.mirrorLag.Add(-int64(taken))
 		g.gw.lagGauge.Set(float64(totalLag(g.gw)))
 	}()
 	if gate := g.gw.cfg.mirrorGate; gate != nil {
 		gate()
 	}
+	// The sequencer hands each record's slices over with the record, so
+	// appending to first's is safe.
+	jobs, decs := first.jobs, first.decs
+coalesce:
+	for len(jobs) < netserve.MaxBatchJobs {
+		select {
+		case rec := <-g.mirrorQ:
+			if len(jobs)+len(rec.jobs) > netserve.MaxBatchJobs {
+				held, more = rec, true
+				break coalesce
+			}
+			jobs = append(jobs, rec.jobs...)
+			decs = append(decs, rec.decs...)
+			taken += len(rec.jobs)
+		default:
+			break coalesce
+		}
+	}
 	sb := g.standbyB()
 	if sb == nil {
-		return false
+		return held, more, false
 	}
-	jobs, decs := rec.jobs, rec.decs
 	for len(jobs) > 0 {
 		res, err := sb.client.SubmitBatchTimeout(jobs, g.gw.cfg.callTimeout)
 		if err != nil {
 			g.standbyLost.Store(true)
-			return false
+			return held, more, false
 		}
 		var retryJ []job.Job
 		var retryD []online.Decision
@@ -468,7 +508,7 @@ func (g *group) applyMirror(rec mirrorRec) bool {
 				if !online.SameDecision(br.Dec, decs[i]) {
 					g.diverged.Store(true)
 					g.gw.divergence.Inc()
-					return false
+					return held, more, false
 				}
 				sb.jobs.Add(1)
 			case errors.Is(br.Err, netserve.ErrShed):
@@ -476,7 +516,7 @@ func (g *group) applyMirror(rec mirrorRec) bool {
 				retryD = append(retryD, decs[i])
 			default:
 				g.standbyLost.Store(true)
-				return false
+				return held, more, false
 			}
 		}
 		jobs, decs = retryJ, retryD
@@ -484,7 +524,7 @@ func (g *group) applyMirror(rec mirrorRec) bool {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	return true
+	return held, more, true
 }
 
 // failover promotes the standby (sequencer context only). The order is

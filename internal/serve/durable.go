@@ -176,9 +176,12 @@ func (sh *shard) checkpoint() error {
 // is replayed through it, with every replayed decision verified against
 // the logged one — the deterministic core recomputes exactly what it
 // decided before, so any mismatch means the files are corrupt or
-// mismatched and recovery refuses to continue. Torn trailing bytes (a
-// crash mid-write) are truncated; they can only belong to decisions
-// whose verdicts were never released.
+// mismatched and recovery refuses to continue. Each shard's log is read
+// and replayed in one streaming pass, so recovery memory does not grow
+// with the log. Torn trailing bytes (a crash mid-write) are truncated;
+// they can only belong to decisions whose verdicts were never released.
+// serve_recovery_torn_tails_total counts the shards whose log ended that
+// way and serve_recovery_truncated_bytes_total the bytes dropped.
 //
 // Topology (shards, machines, ε) and the admission policy come from the
 // manifest; opts carries the rest of the configuration (routing,
@@ -225,14 +228,18 @@ func Restore(dir string, opts ...Option) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	replayed := make([]int64, len(s.shards))
+	// Registered before any shard recovers, so a clean restore shows
+	// them at zero rather than not at all.
+	tornTails := cfg.reg.Counter("serve_recovery_torn_tails_total")
+	truncated := cfg.reg.Counter("serve_recovery_truncated_bytes_total")
+	recs := make([]shardRecovery, len(s.shards))
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
 	for i, sh := range s.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			replayed[i], errs[i] = s.recoverShard(sh, &cfg)
+			recs[i], errs[i] = s.recoverShard(sh, &cfg)
 		}()
 	}
 	wg.Wait()
@@ -242,7 +249,11 @@ func Restore(dir string, opts ...Option) (*Service, error) {
 			s.closeWALs()
 			return nil, err // the lowest-index failure, whatever finished first
 		}
-		total += replayed[i]
+		total += recs[i].replayed
+		if recs[i].torn {
+			tornTails.Inc()
+			truncated.Add(recs[i].truncated)
+		}
 	}
 	cfg.reg.Counter("serve_recovery_records_replayed").Add(total)
 	cfg.reg.Gauge("serve_recovery_seconds").Set(time.Since(start).Seconds())
@@ -261,12 +272,21 @@ func (s *Service) closeWALs() {
 	}
 }
 
-// recoverShard rebuilds one shard: snapshot import, verified log replay,
-// counter restoration, and a writer reopened past the valid tail. It
-// runs before the shard goroutine starts, so plain stores are safe. It
-// must touch nothing outside its own shard (directory, policy instance,
-// log): Restore runs one per shard in parallel.
-func (s *Service) recoverShard(sh *shard, cfg *config) (replayed int64, err error) {
+// shardRecovery is what one shard's recovery reports back to Restore.
+type shardRecovery struct {
+	replayed  int64 // log records re-decided past the snapshot
+	torn      bool  // the log ended in a non-clean tail
+	truncated int64 // bytes past the valid prefix, dropped on reopen
+}
+
+// recoverShard rebuilds one shard in a single streaming pass: snapshot
+// import, then each log record checked, re-decided and verified as the
+// scanner reads it, counter restoration, and a writer reopened past the
+// valid tail. Neither the log file nor its records are ever held in
+// memory. It runs before the shard goroutine starts, so plain stores are
+// safe. It must touch nothing outside its own shard (directory, policy
+// instance, log): Restore runs one per shard in parallel.
+func (s *Service) recoverShard(sh *shard, cfg *config) (rc shardRecovery, err error) {
 	d := shardDir(cfg.durDir, sh.id)
 	sh.snapPath = filepath.Join(d, snapshotName)
 	sh.plan = cfg.crash
@@ -278,16 +298,16 @@ func (s *Service) recoverShard(sh *shard, cfg *config) (replayed int64, err erro
 	case err == nil:
 		var ck shardCheckpoint
 		if err := json.Unmarshal(blob, &ck); err != nil {
-			return 0, fmt.Errorf("serve: shard %d snapshot: %w", sh.id, err)
+			return rc, fmt.Errorf("serve: shard %d snapshot: %w", sh.id, err)
 		}
 		if ck.Schema != snapshotSchema {
-			return 0, fmt.Errorf("serve: shard %d snapshot schema %d, want %d", sh.id, ck.Schema, snapshotSchema)
+			return rc, fmt.Errorf("serve: shard %d snapshot schema %d, want %d", sh.id, ck.Schema, snapshotSchema)
 		}
 		if ck.Shard != sh.id {
-			return 0, fmt.Errorf("serve: shard %d snapshot claims shard %d", sh.id, ck.Shard)
+			return rc, fmt.Errorf("serve: shard %d snapshot claims shard %d", sh.id, ck.Shard)
 		}
 		if err := sh.th.ImportState(ck.State); err != nil {
-			return 0, fmt.Errorf("serve: shard %d snapshot: %w", sh.id, err)
+			return rc, fmt.Errorf("serve: shard %d snapshot: %w", sh.id, err)
 		}
 		st := ck.State
 		sh.base = &st
@@ -301,33 +321,32 @@ func (s *Service) recoverShard(sh *shard, cfg *config) (replayed int64, err erro
 	case errors.Is(err, os.ErrNotExist):
 		// No checkpoint yet: the log tells the whole story.
 	default:
-		return 0, fmt.Errorf("serve: shard %d snapshot: %w", sh.id, err)
+		return rc, fmt.Errorf("serve: shard %d snapshot: %w", sh.id, err)
 	}
 
-	recs, tail, err := wal.ReadLog(walPath)
-	if err != nil {
-		return 0, fmt.Errorf("serve: shard %d: %w", sh.id, err)
-	}
 	mass := math.Float64frombits(sh.acceptedMassBits.Load())
 	var submitted, accepted, rejected int64
 	expect := lastSeq + 1
 	maxSeq := lastSeq
-	for _, rec := range recs {
+	var replayErr error // the callback's refusal, which ends the scan
+	tail, err := wal.ScanFile(walPath, func(rec wal.Record) error {
 		if rec.Seq <= lastSeq {
 			// Covered by the snapshot: a crash landed between snapshot
 			// install and log rotation. Skip, never replay twice.
-			continue
+			return nil
 		}
 		if rec.Seq != expect {
-			return 0, fmt.Errorf("serve: shard %d log jumps from seq %d to %d: records missing",
+			replayErr = fmt.Errorf("serve: shard %d log jumps from seq %d to %d: records missing",
 				sh.id, expect-1, rec.Seq)
+			return replayErr
 		}
 		expect++
 		maxSeq = rec.Seq
 		dec := sh.th.Submit(rec.Job)
 		if !online.SameDecision(dec, rec.Decision) {
-			return 0, fmt.Errorf("serve: shard %d replay diverged at seq %d (%+v): logged %+v, recomputed %+v — log and snapshot are inconsistent",
+			replayErr = fmt.Errorf("serve: shard %d replay diverged at seq %d (%+v): logged %+v, recomputed %+v — log and snapshot are inconsistent",
 				sh.id, rec.Seq, rec.Job, rec.Decision, dec)
+			return replayErr
 		}
 		submitted++
 		if dec.Accepted {
@@ -339,7 +358,24 @@ func (s *Service) recoverShard(sh *shard, cfg *config) (replayed int64, err erro
 		if sh.log != nil {
 			sh.log.append(rec.Job, rec.Decision)
 		}
-		replayed++
+		return nil
+	})
+	// A replay refusal or a read error ends recovery before OpenAppend,
+	// so nothing past the failure is ever truncated.
+	switch {
+	case err == nil:
+	case err == replayErr:
+		return rc, err
+	default:
+		return rc, fmt.Errorf("serve: shard %d: %w", sh.id, err)
+	}
+	rc.replayed = submitted
+	if !tail.Clean {
+		fi, err := os.Stat(walPath)
+		if err != nil {
+			return rc, fmt.Errorf("serve: shard %d: %w", sh.id, err)
+		}
+		rc.torn, rc.truncated = true, fi.Size()-tail.Offset
 	}
 	sh.submitted.Add(submitted)
 	sh.accepted.Add(accepted)
@@ -349,9 +385,9 @@ func (s *Service) recoverShard(sh *shard, cfg *config) (replayed int64, err erro
 
 	w, err := wal.OpenAppend(walPath, tail.Offset, maxSeq+1, s.walOptions(cfg))
 	if err != nil {
-		return 0, fmt.Errorf("serve: shard %d: %w", sh.id, err)
+		return rc, fmt.Errorf("serve: shard %d: %w", sh.id, err)
 	}
 	sh.wal = w
 	sh.walSeq.Store(maxSeq)
-	return replayed, nil
+	return rc, nil
 }

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,6 +13,7 @@ import (
 	"testing"
 
 	"loadmax/internal/job"
+	"loadmax/internal/obs"
 	"loadmax/internal/online"
 	"loadmax/internal/policy"
 	"loadmax/internal/workload"
@@ -330,3 +334,120 @@ func benchmarkRestore(b *testing.B, spec string) {
 
 func BenchmarkRestoreThreshold(b *testing.B)   { benchmarkRestore(b, "threshold") }
 func BenchmarkRestoreDeltaCommit(b *testing.B) { benchmarkRestore(b, policy.DeltaCommitSpec(0.5)) }
+
+// The commitment-log record layout (package wal), as far as the log
+// surgery below needs it: fixed-size records of an 8-byte header
+// (payload length, CRC32-C of the payload) and a payload whose byte 41
+// is the accepted flag.
+const (
+	walRecordLen    = 66
+	walHeaderLen    = 8
+	walAcceptedByte = walHeaderLen + 41
+)
+
+// durableLogs writes a closed durable service of the given shard count
+// over n Poisson jobs with no checkpoint, so every record is in the logs.
+func durableLogs(t *testing.T, dir string, shards, n int) {
+	t.Helper()
+	svc, err := New(shards, 4, 0.1, WithDurability(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := workload.Poisson(workload.Spec{N: n, Eps: 0.1, M: 4 * shards, Load: 2, Seed: 9})
+	for _, r := range svc.SubmitBatch(jobs) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreDivergenceLeavesLogIntact: a record whose logged verdict the
+// policy does not recompute — tampered, with a valid checksum, so it
+// passes the scanner — fails Restore, and the failure happens before the
+// log is reopened: the file stays byte-identical, even the torn bytes a
+// successful restore would have truncated.
+func TestRestoreDivergenceLeavesLogIntact(t *testing.T) {
+	dir := t.TempDir()
+	durableLogs(t, dir, 1, 200)
+	walPath := filepath.Join(shardDir(dir, 0), walName)
+	blob, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) != 200*walRecordLen {
+		t.Fatalf("log holds %d bytes, want %d records", len(blob), 200)
+	}
+	rec := blob[100*walRecordLen : 101*walRecordLen]
+	rec[walAcceptedByte] ^= 1
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[walHeaderLen:], crc32.MakeTable(crc32.Castagnoli)))
+	blob = append(blob, 0xde, 0xad, 0xbe) // a torn tail OpenAppend would cut
+	if err := os.WriteFile(walPath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Restore(dir); err == nil || !strings.Contains(err.Error(), "replay diverged at seq 101") {
+		t.Fatalf("restore over a tampered verdict: err = %v, want a divergence at seq 101", err)
+	}
+	after, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, blob) {
+		t.Fatalf("failed restore changed the log: %d bytes before, %d after", len(blob), len(after))
+	}
+}
+
+// TestRestoreCountsTornTails pins the dropped-tail counters: a log cut
+// mid-payload counts one torn tail and exactly the cut record's surviving
+// bytes; a clean restore registers both counters at zero.
+func TestRestoreCountsTornTails(t *testing.T) {
+	counters := func(reg *obs.Registry) (torn, truncated int64) {
+		snap := reg.Snapshot().Counters
+		torn, okT := snap["serve_recovery_torn_tails_total"]
+		truncated, okB := snap["serve_recovery_truncated_bytes_total"]
+		if !okT || !okB {
+			t.Fatal("dropped-tail counters not registered")
+		}
+		return torn, truncated
+	}
+
+	dir := t.TempDir()
+	durableLogs(t, dir, 3, 300)
+	walPath := filepath.Join(shardDir(dir, 1), walName)
+	size := fileSize(t, walPath)
+	const kept = walHeaderLen + 22 // the last record's header and part of its payload
+	cut := size - walRecordLen + kept
+	if err := os.Truncate(walPath, cut); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	svc, err := Restore(dir, WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if torn, truncated := counters(reg); torn != 1 || truncated != kept {
+		t.Fatalf("torn restore: torn tails %d, truncated bytes %d; want 1 and %d", torn, truncated, kept)
+	}
+	if got := fileSize(t, walPath); got != size-walRecordLen {
+		t.Fatalf("log is %d bytes after restore, want %d", got, size-walRecordLen)
+	}
+
+	reg = obs.NewRegistry()
+	svc, err = Restore(dir, WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if torn, truncated := counters(reg); torn != 0 || truncated != 0 {
+		t.Fatalf("clean restore: torn tails %d, truncated bytes %d; want 0 and 0", torn, truncated)
+	}
+}

@@ -20,11 +20,13 @@
 // sequence number, the effective (shard-clamped) job (r, p, d as raw
 // float64 bits) and the verdict (accepted flag, machine, committed start
 // time). Raw bits round-trip floats exactly, so a replayed stream is
-// bit-identical to the served one. The reader accepts the longest valid
-// prefix and reports where and why it stopped (Tail), which is exactly
-// the crash-recovery contract: a torn final write — short header, short
-// payload, or checksum mismatch — only ever destroys records whose
-// verdicts were never released.
+// bit-identical to the served one. The scanner (ScanFile) accepts the longest
+// valid prefix and reports where and why it stopped (Tail), which is
+// exactly the crash-recovery contract: a torn final write — short
+// header, short payload, or checksum mismatch — only ever destroys
+// records whose verdicts were never released. It streams the log through
+// a fixed-size buffer, so recovering a log of any length takes the same
+// memory.
 //
 // # Group commit
 //
@@ -50,10 +52,12 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -74,13 +78,12 @@ type Record struct {
 }
 
 const (
-	recordType     = 1
-	payloadLen     = 1 + 8 + 8 + 3*8 + 1 + 8 + 8 // type, seq, id, r/p/d, flags, machine, start
-	headerLen      = 8                           // length + CRC
-	recordLen      = headerLen + payloadLen
-	acceptedFlag   = 1
-	maxSanePayload = 1 << 20 // corrupt length fields fail fast
-	fileMode       = 0o644
+	recordType   = 1
+	payloadLen   = 1 + 8 + 8 + 3*8 + 1 + 8 + 8 // type, seq, id, r/p/d, flags, machine, start
+	headerLen    = 8                           // length + CRC
+	recordLen    = headerLen + payloadLen
+	acceptedFlag = 1
+	fileMode     = 0o644
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -107,11 +110,8 @@ func appendRecord(dst []byte, r Record) []byte {
 	return append(dst, p[:]...)
 }
 
-// decodePayload decodes one checksummed payload.
+// decodePayload decodes one checksummed payload of payloadLen bytes.
 func decodePayload(p []byte) (Record, error) {
-	if len(p) != payloadLen {
-		return Record{}, fmt.Errorf("wal: payload length %d, want %d", len(p), payloadLen)
-	}
 	if p[0] != recordType {
 		return Record{}, fmt.Errorf("wal: unknown record type %d", p[0])
 	}
@@ -140,58 +140,77 @@ type Tail struct {
 	Reason string
 }
 
-// DecodeAll decodes the longest valid record prefix of b. Records must
-// carry strictly consecutive sequence numbers; the first violation — like
-// any torn or corrupt data — ends the valid prefix. A non-clean tail is
-// not an error: it is the expected shape of a log cut by a crash.
-func DecodeAll(b []byte) ([]Record, Tail) {
-	var recs []Record
-	off := int64(0)
-	for {
-		rest := b[off:]
-		if len(rest) == 0 {
-			return recs, Tail{Offset: off, Clean: true}
+// scanBufSize is the read buffer of a log scan: whatever a log's length,
+// recovery holds this buffer and one record, never the log.
+const scanBufSize = 64 << 10
+
+// scan is ScanFile's reader loop, over any reader.
+func scan(r io.Reader, fn func(Record) error) (Tail, error) {
+	br := bufio.NewReaderSize(r, scanBufSize)
+	var off, prev int64
+	for first := true; ; first = false {
+		b, err := br.Peek(recordLen)
+		if err != nil && err != io.EOF {
+			return Tail{Offset: off}, fmt.Errorf("wal: read at offset %d: %w", off, err)
 		}
-		if len(rest) < headerLen {
-			return recs, Tail{Offset: off, Reason: "torn header"}
+		if len(b) == 0 {
+			return Tail{Offset: off, Clean: true}, nil
 		}
-		n := binary.LittleEndian.Uint32(rest[0:])
-		if n != payloadLen || n > maxSanePayload {
-			return recs, Tail{Offset: off, Reason: fmt.Sprintf("bad length %d", n)}
+		if len(b) < headerLen {
+			return Tail{Offset: off, Reason: "torn header"}, nil
 		}
-		if len(rest) < headerLen+int(n) {
-			return recs, Tail{Offset: off, Reason: "torn payload"}
+		if n := binary.LittleEndian.Uint32(b[0:]); n != payloadLen {
+			return Tail{Offset: off, Reason: fmt.Sprintf("bad length %d", n)}, nil
 		}
-		p := rest[headerLen : headerLen+int(n)]
-		if crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
-			return recs, Tail{Offset: off, Reason: "checksum mismatch"}
+		if len(b) < recordLen {
+			return Tail{Offset: off, Reason: "torn payload"}, nil
+		}
+		p := b[headerLen:recordLen]
+		if crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+			return Tail{Offset: off, Reason: "checksum mismatch"}, nil
 		}
 		rec, err := decodePayload(p)
 		if err != nil {
-			return recs, Tail{Offset: off, Reason: err.Error()}
+			return Tail{Offset: off, Reason: err.Error()}, nil
 		}
-		if len(recs) > 0 && rec.Seq != recs[len(recs)-1].Seq+1 {
-			return recs, Tail{Offset: off, Reason: fmt.Sprintf("sequence gap: %d after %d",
-				rec.Seq, recs[len(recs)-1].Seq)}
+		if !first && rec.Seq != prev+1 {
+			return Tail{Offset: off, Reason: fmt.Sprintf("sequence gap: %d after %d", rec.Seq, prev)}, nil
 		}
-		recs = append(recs, rec)
-		off += int64(headerLen + int(n))
+		if err := fn(rec); err != nil {
+			return Tail{Offset: off}, err
+		}
+		prev = rec.Seq
+		off += recordLen
+		br.Discard(recordLen) //nolint:errcheck // the bytes were peeked
 	}
 }
 
-// ReadLog reads and decodes the log at path. A missing file is not an
-// error: it returns no records and a clean tail at offset 0, the genesis
-// state of a shard that never committed anything.
-func ReadLog(path string) ([]Record, Tail, error) {
-	b, err := os.ReadFile(path)
+// ScanFile reads the longest valid record prefix of the log at path,
+// calling fn on each of its records in order, and reports where and why
+// the prefix ended. Records must carry strictly consecutive sequence
+// numbers; the first violation — like any torn or corrupt data — ends
+// the valid prefix. A non-clean tail is not an error: it is the expected
+// shape of a log cut by a crash. The checks run in a fixed order per
+// record: torn header, bad length, torn payload, checksum, decode,
+// sequence gap. A missing file is not an error either: it yields no
+// records and a clean tail at offset 0, the genesis state of a shard
+// that never committed anything.
+//
+// Two things are errors, and both stop the scan. A read error other than
+// EOF is returned wrapped, never reported as a torn tail: the bytes past
+// it are unknown, and truncating there could drop acknowledged records.
+// An error from fn is returned unchanged. On either, the returned Tail
+// only marks how far the scan got.
+func ScanFile(path string, fn func(Record) error) (Tail, error) {
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, Tail{Clean: true}, nil
+		return Tail{Clean: true}, nil
 	}
 	if err != nil {
-		return nil, Tail{}, fmt.Errorf("wal: read %s: %w", path, err)
+		return Tail{}, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	recs, tail := DecodeAll(b)
-	return recs, tail, nil
+	defer f.Close()
+	return scan(f, fn)
 }
 
 // --- Fault injection -----------------------------------------------------

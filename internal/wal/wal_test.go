@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -11,6 +12,30 @@ import (
 	"loadmax/internal/job"
 	"loadmax/internal/online"
 )
+
+// scanBytes collects every record Scan hands its callback from b.
+func scanBytes(t testing.TB, b []byte) ([]Record, Tail) {
+	t.Helper()
+	var recs []Record
+	tail, err := scan(bytes.NewReader(b), func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("scan of an in-memory log: %v", err)
+	}
+	return recs, tail
+}
+
+// scanLog collects every record ScanFile hands its callback from path.
+func scanLog(path string) ([]Record, Tail, error) {
+	var recs []Record
+	tail, err := ScanFile(path, func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, tail, err
+}
 
 func rec(seq int64, accepted bool) Record {
 	return Record{
@@ -35,7 +60,7 @@ func TestRoundTripBitExact(t *testing.T) {
 	var b []byte
 	b = appendRecord(b, nasty)
 	b = appendRecord(b, rec(2, false))
-	recs, tail := DecodeAll(b)
+	recs, tail := scanBytes(t, b)
 	if !tail.Clean || len(recs) != 2 {
 		t.Fatalf("decode: %d records, tail %+v", len(recs), tail)
 	}
@@ -76,7 +101,7 @@ func TestWriterAppendCommitRead(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, tail, err := ReadLog(path)
+	got, tail, err := scanLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +138,7 @@ func TestUncommittedRecordsAreNotDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close() // no Commit: record 2 must be dropped
-	got, tail, err := ReadLog(path)
+	got, tail, err := scanLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +157,7 @@ func TestTornTailVariants(t *testing.T) {
 	}
 	intact := int64(3 * recordLen)
 	for cut := intact; cut < int64(len(b)); cut++ {
-		recs, tail := DecodeAll(b[:cut])
+		recs, tail := scanBytes(t, b[:cut])
 		if len(recs) != 3 {
 			t.Fatalf("cut %d: %d records, want 3", cut, len(recs))
 		}
@@ -145,7 +170,7 @@ func TestTornTailVariants(t *testing.T) {
 	for pos := intact; pos < int64(len(b)); pos++ {
 		mut := append([]byte(nil), b...)
 		mut[pos] ^= 0x40
-		recs, tail := DecodeAll(mut)
+		recs, tail := scanBytes(t, mut)
 		if len(recs) != 3 || tail.Clean || tail.Offset != intact {
 			t.Fatalf("flip at %d: %d records, tail %+v", pos, len(recs), tail)
 		}
@@ -159,7 +184,7 @@ func TestSequenceGapRejected(t *testing.T) {
 	var b []byte
 	b = appendRecord(b, rec(1, true))
 	b = appendRecord(b, rec(3, true)) // gap: 2 missing
-	recs, tail := DecodeAll(b)
+	recs, tail := scanBytes(t, b)
 	if len(recs) != 1 || tail.Clean {
 		t.Fatalf("gap not detected: %d records, tail %+v", len(recs), tail)
 	}
@@ -175,7 +200,7 @@ func TestOpenAppendTruncatesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, tail, err := ReadLog(path)
+	recs, tail, err := scanLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +219,7 @@ func TestOpenAppendTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	recs, tail, err = ReadLog(path)
+	recs, tail, err = scanLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +272,7 @@ func TestRotateKeepsSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	recs, tail, err := ReadLog(path)
+	recs, tail, err := scanLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +336,7 @@ func TestWriterCrashPoints(t *testing.T) {
 			t.Fatalf("case %d: writer not poisoned after crash", i)
 		}
 		w.Close()
-		recs, tail, err := ReadLog(path)
+		recs, tail, err := scanLog(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +379,7 @@ func TestFlushIntervalCoalesces(t *testing.T) {
 	if min := time.Duration(commits-1) * 5 * time.Millisecond; elapsed < min {
 		t.Fatalf("interval not honored: %v elapsed, want ≥ %v", elapsed, min)
 	}
-	recs, tail, err := ReadLog(path)
+	recs, tail, err := scanLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,9 +407,9 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-// TestReadLogMissingFile pins the genesis contract.
-func TestReadLogMissingFile(t *testing.T) {
-	recs, tail, err := ReadLog(filepath.Join(t.TempDir(), "nope.log"))
+// TestScanFileMissingFile pins the genesis contract.
+func TestScanFileMissingFile(t *testing.T) {
+	recs, tail, err := scanLog(filepath.Join(t.TempDir(), "nope.log"))
 	if err != nil || len(recs) != 0 || !tail.Clean || tail.Offset != 0 {
 		t.Fatalf("missing log: recs=%d tail=%+v err=%v", len(recs), tail, err)
 	}
