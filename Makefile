@@ -217,6 +217,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz 'FuzzThresholdImportState' -fuzztime 10s ./internal/policy/
 	$(GO) test -race -run '^$$' -fuzz 'FuzzGreedyImportState' -fuzztime 10s ./internal/policy/
 	$(GO) test -race -run '^$$' -fuzz 'FuzzWALScan' -fuzztime 10s ./internal/wal/
+	$(GO) test -race -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/netserve/
 
 # perfbench-test builds, vets and unit-tests the benchmark program
 # (perfbench/, its own module with a replace onto this one), so an

@@ -295,16 +295,10 @@ func (gw *Gateway) Submit(j job.Job) (online.Decision, error) {
 	return gw.SubmitSpan(j, nil)
 }
 
-// SubmitSpan is Submit with request-lifecycle tracing.
+// SubmitSpan is Submit with request-lifecycle tracing: a batch of one.
 func (gw *Gateway) SubmitSpan(j job.Job, sp *obs.Span) (online.Decision, error) {
-	g := gw.groups[gw.route(j)]
-	r := &gwReq{jobs: []job.Job{j}, out: make([]serve.BatchResult, 1), sp: sp,
-		enq: gw.cfg.spans.Now(), done: make(chan struct{})}
-	if err := g.enqueue(r); err != nil {
-		return online.Decision{}, err
-	}
-	<-r.done
-	return r.out[0].Dec, r.out[0].Err
+	r := gw.SubmitBatchSpan([]job.Job{j}, sp)[0]
+	return r.Dec, r.Err
 }
 
 // SubmitBatch proxies a batch, scattering jobs to their groups and
@@ -316,10 +310,36 @@ func (gw *Gateway) SubmitBatch(jobs []job.Job) []serve.BatchResult {
 // SubmitBatchSpan routes each job to its group — preserving relative
 // order within every group, which is what per-backend determinism is
 // defined over — enqueues one request per group, and waits for all of
-// them.
+// them. A batch that lands on one group (always, for a single job) is
+// sent as it is, without scatter/gather. A traced batch that splits
+// gives each group its own span — the sequencers run concurrently — and
+// merges them as serve.SubmitBatchSpan does: queue wait is the maximum,
+// decide the sum, and Shard the first group's.
 func (gw *Gateway) SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []serve.BatchResult {
 	out := make([]serve.BatchResult, len(jobs))
 	if len(jobs) == 0 {
+		return out
+	}
+	first := gw.route(jobs[0])
+	single := true
+	for _, j := range jobs[1:] {
+		if gw.route(j) != first {
+			single = false
+			break
+		}
+	}
+	if single {
+		// The caller's slice is safe to hand over: the sequencer copies
+		// the jobs it forwards and mirrors, and this call blocks until
+		// the request is done.
+		r := &gwReq{jobs: jobs, out: out, sp: sp, enq: gw.cfg.spans.Now(), done: make(chan struct{})}
+		if err := gw.groups[first].enqueue(r); err != nil {
+			for i := range out {
+				out[i].Err = err
+			}
+			return out
+		}
+		<-r.done
 		return out
 	}
 	n := len(gw.groups)
@@ -336,8 +356,11 @@ func (gw *Gateway) SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []serve.BatchRe
 		if len(sub) == 0 {
 			continue
 		}
-		r := &gwReq{jobs: sub, out: make([]serve.BatchResult, len(sub)), sp: sp,
+		r := &gwReq{jobs: sub, out: make([]serve.BatchResult, len(sub)),
 			enq: enq, idxs: perIdx[gi], done: make(chan struct{})}
+		if sp != nil {
+			r.sp = &obs.Span{}
+		}
 		if err := gw.groups[gi].enqueue(r); err != nil {
 			for _, i := range perIdx[gi] {
 				out[i].Err = err
@@ -346,11 +369,19 @@ func (gw *Gateway) SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []serve.BatchRe
 		}
 		reqs = append(reqs, r)
 	}
-	for _, r := range reqs {
+	for k, r := range reqs {
 		<-r.done
-		for k, i := range r.idxs {
-			out[i] = r.out[k]
+		for pos, i := range r.idxs {
+			out[i] = r.out[pos]
 		}
+		if r.sp == nil {
+			continue
+		}
+		if k == 0 {
+			sp.Shard = r.sp.Shard
+		}
+		sp.Stages[obs.StageQueue] = max(sp.Stages[obs.StageQueue], r.sp.Stages[obs.StageQueue])
+		sp.Stages[obs.StageDecide] += r.sp.Stages[obs.StageDecide]
 	}
 	return out
 }

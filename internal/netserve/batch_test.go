@@ -91,6 +91,7 @@ func checkObservedAgainstStreams(t *testing.T, svc *serve.Service, shards int, o
 // same proof TestNetReplayEquivalence gives for singles, now across the
 // batch frames, the grouped shard handoff and the verdict-batch reply.
 func TestNetBatchReplayEquivalence(t *testing.T) {
+	checkGoroutines(t)
 	const shards, m = 3, 16
 	const eps = 0.25
 	svc, err := serve.New(shards, m, eps, serve.WithDecisionLog())
@@ -122,6 +123,7 @@ func TestNetBatchReplayEquivalence(t *testing.T) {
 // a single sequential client each, and requires bit-identical decisions
 // job for job. Batching on the wire must be invisible to the algorithm.
 func TestNetBatchMatchesPerJob(t *testing.T) {
+	checkGoroutines(t)
 	const shards, m = 2, 8
 	const eps = 0.3
 	inst := genInstance(t, 1000, shards*m, eps, 17)
@@ -193,6 +195,7 @@ func TestNetBatchMatchesPerJob(t *testing.T) {
 // on one stream — and the full decision log must still replay
 // bit-identically while every verdict matches the recorded stream.
 func TestNetMixedBatchSingle(t *testing.T) {
+	checkGoroutines(t)
 	const shards, m = 2, 8
 	const eps = 0.25
 	svc, err := serve.New(shards, m, eps, serve.WithDecisionLog())
@@ -278,6 +281,7 @@ func TestNetMixedBatchSingle(t *testing.T) {
 // VerifyReplay. A batch's group-commit fsync is exactly as durable as
 // the per-job fsync it replaced.
 func TestNetBatchKillAndRestore(t *testing.T) {
+	checkGoroutines(t)
 	const shards, m = 2, 8
 	const eps = 0.3
 	dir := filepath.Join(t.TempDir(), "durable")
@@ -375,6 +379,7 @@ func TestNetBatchKillAndRestore(t *testing.T) {
 // batch frame must come back as ONE verdict-batch with every entry shed
 // — and the shed counter advances per job, not per frame.
 func TestNetBatchShedRawFrames(t *testing.T) {
+	checkGoroutines(t)
 	svc := newTestService(t, 1, 8)
 	defer svc.Close()
 	gate := make(chan struct{})
@@ -396,7 +401,7 @@ func TestNetBatchShedRawFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(nc)
-	payload, err := readFrame(br)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +418,7 @@ func TestNetBatchShedRawFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	payload, err = readFrame(br)
+	payload, err = readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

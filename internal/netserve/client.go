@@ -597,7 +597,7 @@ func setupConn(nc net.Conn, cfg dialConfig) (*clientConn, helloAck, error) {
 		return nil, helloAck{}, &TransportError{Op: "handshake", Err: err}
 	}
 	br := bufio.NewReaderSize(nc, 32<<10)
-	payload, err := readFrame(br)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		nc.Close()
 		return nil, helloAck{}, &TransportError{Op: "handshake", Err: err}
@@ -689,13 +689,19 @@ func (cc *clientConn) send(buf []byte) error {
 	return nil
 }
 
+// readLoop routes verdicts to their waiters. Frames are read into one
+// connection-owned payload buffer (grown at most to maxPayload): the
+// decoders copy out every field and message, so nothing routed to a
+// waiter aliases it.
 func (cc *clientConn) readLoop(br *bufio.Reader) {
+	var scratch []byte
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, scratch)
 		if err != nil {
 			cc.fail("read", err)
 			return
 		}
+		scratch = payload[:0]
 		switch payload[0] {
 		case frameVerdict:
 			v, err := decodeVerdict(payload)

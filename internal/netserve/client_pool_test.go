@@ -20,7 +20,7 @@ func echoServer(t *testing.T, nc net.Conn, window int) {
 		return
 	}
 	for {
-		p, err := readFrame(br)
+		p, err := readFrame(br, nil)
 		if err != nil {
 			return
 		}
@@ -144,7 +144,7 @@ func TestClientLearnsPolicy(t *testing.T) {
 	cliSide, srvSide := net.Pipe()
 	go func() {
 		br := bufio.NewReader(srvSide)
-		p, err := readFrame(br)
+		p, err := readFrame(br, nil)
 		if err != nil || decodeHello(p) != nil {
 			t.Error("fake server: bad hello")
 			return

@@ -18,7 +18,7 @@ import (
 func fakeHandshake(t *testing.T, nc net.Conn, window int) *bufio.Reader {
 	t.Helper()
 	br := bufio.NewReader(nc)
-	p, err := readFrame(br)
+	p, err := readFrame(br, nil)
 	if err != nil {
 		t.Errorf("fake server: read hello: %v", err)
 		return nil
@@ -108,7 +108,7 @@ func TestSubmitTimeoutVerdictRace(t *testing.T) {
 	defer c.Close()
 	go func() {
 		// Drain the submit frame so the synchronous pipe write completes.
-		if _, err := readFrame(br); err != nil {
+		if _, err := readFrame(br, nil); err != nil {
 			t.Errorf("fake server: read submit: %v", err)
 		}
 	}()
@@ -143,7 +143,7 @@ func TestSubmitBatchTimeoutVerdictRace(t *testing.T) {
 	c, cc, _, br := pipeClient(t, 8)
 	defer c.Close()
 	go func() {
-		if _, err := readFrame(br); err != nil {
+		if _, err := readFrame(br, nil); err != nil {
 			t.Errorf("fake server: read submit batch: %v", err)
 		}
 	}()
@@ -182,7 +182,7 @@ func TestSubmitTimeoutStillTimesOut(t *testing.T) {
 	c, _, _, br := pipeClient(t, 8)
 	defer c.Close()
 	go func() {
-		if _, err := readFrame(br); err != nil {
+		if _, err := readFrame(br, nil); err != nil {
 			t.Errorf("fake server: read submit: %v", err)
 		}
 		// ...and never answer.

@@ -12,6 +12,7 @@ import (
 // of pinning a connection goroutine forever — and the server must keep
 // serving real clients throughout.
 func TestHandshakeSlowLoris(t *testing.T) {
+	checkGoroutines(t)
 	svc := newTestService(t, 1, 4)
 	defer svc.Close()
 	srv, err := Serve(svc, "127.0.0.1:0", WithHelloTimeout(150*time.Millisecond))
@@ -60,6 +61,7 @@ func TestHandshakeSlowLoris(t *testing.T) {
 // TestHandshakeTimeoutOptionClamp: non-positive values keep the default
 // rather than arming an already-expired deadline.
 func TestHandshakeTimeoutOptionClamp(t *testing.T) {
+	checkGoroutines(t)
 	cfg := defaultServerConfig()
 	WithHelloTimeout(0)(&cfg)
 	if cfg.helloTimeout != 10*time.Second {

@@ -70,6 +70,7 @@ func driveClients(t *testing.T, addr string, inst job.Instance, clients, pipelin
 // write-coalescing path. Run under -race this also exercises every
 // cross-goroutine handoff in server and client.
 func TestNetReplayEquivalence(t *testing.T) {
+	checkGoroutines(t)
 	const shards, m = 3, 16
 	const eps = 0.25
 	svc, err := serve.New(shards, m, eps, serve.WithDecisionLog())
@@ -124,6 +125,7 @@ func TestNetReplayEquivalence(t *testing.T) {
 // service, and (b) the full cross-kill decision stream passes
 // VerifyReplay from the recovery checkpoint.
 func TestNetKillAndRestore(t *testing.T) {
+	checkGoroutines(t)
 	const shards, m = 2, 8
 	const eps = 0.3
 	dir := filepath.Join(t.TempDir(), "durable")

@@ -18,7 +18,7 @@ import (
 func bufioReaderHello(t *testing.T, nc net.Conn) *bufio.Reader {
 	t.Helper()
 	br := bufio.NewReader(nc)
-	p, err := readFrame(br)
+	p, err := readFrame(br, nil)
 	if err != nil || decodeHello(p) != nil {
 		return nil
 	}

@@ -11,7 +11,6 @@ import (
 
 	"loadmax/internal/job"
 	"loadmax/internal/obs"
-	"loadmax/internal/online"
 	"loadmax/internal/serve"
 )
 
@@ -20,15 +19,17 @@ import (
 // serve.Service is the canonical implementation; the gateway implements
 // it one level up (its "shards" are backend groups), which is how the
 // whole protocol surface — windows, shedding, batching, spans — is
-// reused verbatim in front of a cluster. A returned
-// serve.ErrBackpressure is answered as a SHED verdict (retryable
-// overload); any other error as a server-error verdict.
+// reused verbatim in front of a cluster. Every dispatch unit — a read
+// burst of SUBMIT frames or one SUBMIT-BATCH frame — is one
+// SubmitBatchSpan call, which must return one result per job, aligned
+// with jobs, and must keep the jobs' relative order on every shard. A
+// returned serve.ErrBackpressure is answered as a SHED verdict
+// (retryable overload); any other error as a server-error verdict.
 type Admitter interface {
 	Shards() int
 	Machines() int
 	Eps() float64
 	AdmissionPolicy() string
-	SubmitSpan(j job.Job, sp *obs.Span) (online.Decision, error)
 	SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []serve.BatchResult
 }
 
@@ -42,7 +43,7 @@ type serverConfig struct {
 	helloTimeout time.Duration
 	reg          *obs.Registry
 	spans        *obs.SpanRecorder
-	submitGate   func() // test-only: blocks each worker before Submit
+	submitGate   func() // test-only: blocks each dispatch unit's worker before SubmitBatchSpan
 }
 
 func defaultServerConfig() serverConfig {
@@ -56,19 +57,21 @@ func defaultServerConfig() serverConfig {
 
 // WithWindow sets the per-connection in-flight window (default 256): the
 // server dispatches at most this many concurrent requests per
-// connection and sheds the excess. A submit-batch frame occupies ONE
-// window slot — it is one dispatch unit (one worker, one reply frame)
-// regardless of how many jobs it carries. The window is advertised in
-// the handshake, and the Client self-limits to it, so a conforming
-// client only ever sees window sheds from a misbehaving peer sharing
-// its id space. Values < 1 are clamped to 1.
+// connection and sheds the excess. Every SUBMIT frame takes one window
+// slot, whether or not it shares a dispatch unit with others; a
+// submit-batch frame occupies ONE window slot regardless of how many
+// jobs it carries. The window is advertised in the handshake, and the
+// Client self-limits to it, so a conforming client only ever sees
+// window sheds from a misbehaving peer sharing its id space. Values < 1
+// are clamped to 1.
 func WithWindow(n int) ServerOption { return func(c *serverConfig) { c.window = n } }
 
-// WithMaxInflight caps the server-wide number of requests inside
-// serve.Service.Submit at once (default 4096). Beyond the cap the server
-// sheds instead of queueing: shedding is overload protection, distinct
-// from both algorithmic rejection and the serve layer's backpressure,
-// and the client may retry. Values < 1 are clamped to 1.
+// WithMaxInflight caps the server-wide number of requests inside the
+// Admitter at once (default 4096), counted as WithWindow counts them.
+// Beyond the cap the server sheds instead of queueing: shedding is
+// overload protection, distinct from both algorithmic rejection and the
+// serve layer's backpressure, and the client may retry. Values < 1 are
+// clamped to 1.
 func WithMaxInflight(n int) ServerOption { return func(c *serverConfig) { c.maxInflight = n } }
 
 // WithWriteTimeout bounds how long a verdict write may block on a slow
@@ -87,8 +90,14 @@ func WithWriteTimeout(d time.Duration) ServerOption {
 //	netserve_requests_total{verdict} counter  accept/reject/shed/error
 //	netserve_shed_total             counter   shed verdicts (either cause)
 //	netserve_slow_disconnects_total counter   write-timeout disconnects
-//	netserve_request_seconds        histogram dispatch→verdict latency (one sample per frame, batch included)
+//	netserve_request_seconds        histogram SubmitBatchSpan latency, one sample per dispatch unit
 //	netserve_rx_frames_total        counter   submit + submit-batch frames read
+//	netserve_tx_flushes_total       counter   writer flushes (socket writes of coalesced verdict frames)
+//
+// A dispatch unit is the SUBMIT frames of one read burst or one
+// SUBMIT-BATCH frame, so rx frames over request_seconds' count is the
+// frames per dispatch unit, and verdict frames over tx flushes is the
+// frames per flush.
 //
 // A nil registry (the default) keeps the hot path metric-free.
 func WithServerMetrics(reg *obs.Registry) ServerOption { return func(c *serverConfig) { c.reg = reg } }
@@ -97,8 +106,13 @@ func WithServerMetrics(reg *obs.Registry) ServerOption { return func(c *serverCo
 // gets a lifecycle span covering frame decode, shard queue wait, engine
 // decide, WAL commit (via the service, which must share the recorder
 // through serve.WithSpans), and the reply write, finished when its
-// verdict hits the wire. Shed frames are answered before dispatch and
-// carry no span. A nil recorder (the default) keeps the path span-free.
+// verdict hits the wire. A SUBMIT frame keeps its own span (its JobID,
+// its own decode stage) inside a burst; the queue, decide and WAL stages
+// come from the burst's one SubmitBatchSpan call, with the wait between
+// the frame's admission and the burst's dispatch counted as queue wait.
+// A SUBMIT-BATCH frame gets one span. Shed frames are answered before
+// dispatch and carry no span. A nil recorder (the default) keeps the
+// path span-free.
 func WithServerSpans(rec *obs.SpanRecorder) ServerOption {
 	return func(c *serverConfig) { c.spans = rec }
 }
@@ -116,9 +130,10 @@ func WithHelloTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// withSubmitGate is the white-box test hook: f runs in each dispatched
-// worker after the in-flight slots are taken and before Submit, letting
-// tests hold the server at a chosen occupancy deterministically.
+// withSubmitGate is the white-box test hook: f runs once per dispatch
+// unit, in its worker, after the unit's in-flight slots are taken and
+// before SubmitBatchSpan, letting tests hold the server at a chosen
+// occupancy deterministically.
 func withSubmitGate(f func()) ServerOption { return func(c *serverConfig) { c.submitGate = f } }
 
 // Server is the TCP admission front end over an Admitter (usually a
@@ -145,6 +160,7 @@ type Server struct {
 	slowCuts      *obs.Counter
 	latHist       *obs.Histogram
 	rxFrames      *obs.Counter
+	txFlushes     *obs.Counter
 
 	// Pre-resolved members of the verdicts family: With() takes the
 	// family mutex, so the per-request paths resolve each label exactly
@@ -170,6 +186,7 @@ type connStripes struct {
 	shed     *obs.CounterStripe
 	errs     *obs.CounterStripe
 	shedTot  *obs.CounterStripe
+	flushes  *obs.CounterStripe
 	inflight *obs.GaugeStripe
 }
 
@@ -182,6 +199,7 @@ func (s *Server) newConnStripes() connStripes {
 		shed:     s.vShed.Stripe(lane),
 		errs:     s.vError.Stripe(lane),
 		shedTot:  s.shedTotal.Stripe(lane),
+		flushes:  s.txFlushes.Stripe(lane),
 		inflight: s.inflightGauge.Stripe(lane),
 	}
 }
@@ -224,6 +242,7 @@ func ServeListener(svc Admitter, ln net.Listener, opts ...ServerOption) (*Server
 		slowCuts:      cfg.reg.Counter("netserve_slow_disconnects_total"),
 		latHist:       cfg.reg.Histogram("netserve_request_seconds", obs.ExpBucketsRange(1e-6, 4, 12)),
 		rxFrames:      cfg.reg.Counter("netserve_rx_frames_total"),
+		txFlushes:     cfg.reg.Counter("netserve_tx_flushes_total"),
 	}
 	s.vAccept = s.verdicts.With("accept")
 	s.vReject = s.verdicts.With("reject")
@@ -309,24 +328,57 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// respEntry is one verdict bound for the wire: the pooled buffer
-// holding the encoded frame plus, under tracing, the request's span and
-// the recorder-clock mark at which the verdict was queued (the
-// reply-write stage runs from that mark to the flush that puts the
-// frame on the wire). Ownership of fb travels with the entry: the
-// worker that encoded it hands it to the writer, and only the writer
-// releases it — after the bytes are copied into the buffered writer,
-// or on the discard path when the connection dies. The span never
-// retains frame bytes, so releasing fb cannot corrupt a trace.
+// respEntry is one reply bound for the wire: the pooled buffer holding
+// the encoded frames plus, under tracing, the dispatch unit whose frame
+// spans finish with this reply and the recorder-clock mark at which the
+// reply was queued (the reply-write stage runs from that mark to the
+// flush that puts the frames on the wire). Ownership of fb and u travels
+// with the entry: the worker that encoded it hands it to the writer, and
+// only the writer releases them — fb after its bytes are copied into the
+// buffered writer, u after its spans are finished, both on the discard
+// path when the connection dies. The spans never retain frame bytes, so
+// releasing fb cannot corrupt a trace.
 type respEntry struct {
 	fb *frameBuf
-	sp *obs.Span
+	u  *unit
 	ns int64
 }
 
-// srvConn is one client connection: a reader goroutine that dispatches
-// pipelined submits, worker goroutines (one per in-flight request) and
-// a writer goroutine that batches verdicts onto the wire.
+// unit is one dispatch unit: the admitted SUBMIT frames of one read
+// burst, or one SUBMIT-BATCH frame. A unit gets one worker, one
+// Admitter.SubmitBatchSpan call, and one reply buffer holding all of its
+// verdict frames, so the writer puts it on the wire with one flush (or
+// shares one with other units). Units are pooled with their slices.
+type unit struct {
+	batch   bool   // one SUBMIT-BATCH frame, answered by one VERDICT-BATCH
+	batchID uint64 // the batch frame's id
+	ids     []uint64
+	jobs    []job.Job
+	slots   int // window and in-flight slots the unit holds
+
+	// Tracing only: spans[i] is frame i's span (a batch frame has one),
+	// and sp is the unit's own span, handed to SubmitBatchSpan, whose
+	// Start is the dispatch mark. It is never finished itself; its
+	// stages are copied into the frame spans.
+	spans []*obs.Span
+	sp    obs.Span
+}
+
+var unitPool = sync.Pool{New: func() any { return new(unit) }}
+
+func getUnit() *unit { return unitPool.Get().(*unit) }
+
+// release returns u to the pool; the caller must not touch u afterwards.
+func (u *unit) release() {
+	clear(u.spans) // the spans belong to the recorder now
+	*u = unit{ids: u.ids[:0], jobs: u.jobs[:0], spans: u.spans[:0]}
+	unitPool.Put(u)
+}
+
+// srvConn is one client connection: a reader goroutine that admits
+// pipelined submits and dispatches them in units, one worker goroutine
+// per dispatch unit, and a writer goroutine that batches verdicts onto
+// the wire.
 type srvConn struct {
 	s        *Server
 	nc       net.Conn
@@ -376,7 +428,7 @@ func (c *srvConn) run() {
 // or non-protocol peer cannot pin a connection slot.
 func (c *srvConn) handshake(br *bufio.Reader) error {
 	c.nc.SetReadDeadline(time.Now().Add(c.s.cfg.helloTimeout))
-	payload, err := readFrame(br)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		return err
 	}
@@ -397,19 +449,34 @@ func (c *srvConn) handshake(br *bufio.Reader) error {
 	return err
 }
 
-// readLoop decodes pipelined submits and dispatches each to its own
-// worker. Admission control happens here, sequentially per connection,
-// which makes shedding deterministic: a request is dispatched iff a
-// connection-window slot and a server-wide in-flight slot are both free
-// at the moment its frame is read.
+// readLoop decodes pipelined submits and dispatches them in units.
+// Admission control happens here, sequentially per connection and per
+// frame, which makes shedding deterministic: a SUBMIT (or SUBMIT-BATCH)
+// frame is admitted iff a connection-window slot and a server-wide
+// in-flight slot are both free at the moment it is read.
+//
+// Admitted SUBMIT frames collect into a burst, which is dispatched as
+// one unit as soon as the reader holds no further complete frame (so
+// the next read could block), before a SUBMIT-BATCH frame, at
+// MaxBatchJobs jobs, and when the reader exits. No admitted frame is
+// ever held across a blocking read: a burst is exactly what the client
+// had already sent, and a corrupt frame after k good ones still gets
+// the k verdicts.
 func (c *srvConn) readLoop(br *bufio.Reader) {
-	s := c.s
-	rec := s.cfg.spans
+	rec := c.s.cfg.spans
+	var burst *unit
+	defer func() { c.dispatch(burst) }()
+	var scratch []byte
 	for {
-		payload, err := readFrame(br)
+		if burst != nil && !frameBuffered(br) {
+			c.dispatch(burst)
+			burst = nil
+		}
+		payload, err := readFrame(br, scratch)
 		if err != nil {
 			return // EOF, deadline from Close, or protocol garbage
 		}
+		scratch = payload[:0]
 		readNs := rec.Now() // span clock mark; 0 when tracing is off
 		switch payload[0] {
 		case frameSubmit:
@@ -422,19 +489,30 @@ func (c *srvConn) readLoop(br *bufio.Reader) {
 				c.shed(f.ID)
 				continue
 			}
+			if burst == nil {
+				burst = getUnit()
+			}
+			burst.ids = append(burst.ids, f.ID)
+			burst.jobs = append(burst.jobs, f.Job)
+			burst.slots++
 			// The span is allocated only for dispatched requests and only
 			// under tracing; its decode stage covers frame parse + admission.
-			var sp *obs.Span
 			if rec != nil {
-				sp = &obs.Span{JobID: int64(f.Job.ID), Start: readNs}
+				sp := &obs.Span{JobID: int64(f.Job.ID), Start: readNs}
 				sp.Stages[obs.StageDecode] = rec.Now() - readNs
+				burst.spans = append(burst.spans, sp)
 			}
-			go c.serveRequest(f, sp)
+			if len(burst.jobs) == MaxBatchJobs {
+				c.dispatch(burst)
+				burst = nil
+			}
 		case frameSubmitBatch:
-			// A batch frame is ONE dispatch unit: one window slot, one
-			// in-flight slot, one worker — that is where the amortization
-			// comes from. Shedding is all-or-nothing per batch, so a
+			// A batch frame is its own dispatch unit — one window slot, one
+			// in-flight slot, one worker — and the frames before it are
+			// dispatched first. Shedding is all-or-nothing per batch, so a
 			// conforming client never sees a partially shed batch.
+			c.dispatch(burst)
+			burst = nil
 			f, err := decodeSubmitBatch(payload)
 			if err != nil {
 				return
@@ -444,12 +522,14 @@ func (c *srvConn) readLoop(br *bufio.Reader) {
 				c.shedBatch(f.ID, len(f.Jobs))
 				continue
 			}
-			var sp *obs.Span
+			u := getUnit()
+			u.batch, u.batchID, u.jobs, u.slots = true, f.ID, f.Jobs, 1
 			if rec != nil {
-				sp = &obs.Span{JobID: int64(f.Jobs[0].ID), Start: readNs}
+				sp := &obs.Span{JobID: int64(f.Jobs[0].ID), Start: readNs}
 				sp.Stages[obs.StageDecode] = rec.Now() - readNs
+				u.spans = append(u.spans, sp)
 			}
-			go c.serveBatch(f, sp)
+			c.dispatch(u)
 		default:
 			return // handshake is over; anything but a submit is a protocol error
 		}
@@ -457,10 +537,10 @@ func (c *srvConn) readLoop(br *bufio.Reader) {
 }
 
 // admit takes one connection-window slot and one server-wide in-flight
-// slot — a batch frame counts as one dispatch unit on both, because it
-// occupies one worker goroutine and one reply — or reports that the
-// frame must be shed. Admission stays sequential per connection (only
-// the reader calls it), which keeps shedding deterministic.
+// slot — a batch frame counts as one, as does each SUBMIT frame of a
+// burst — or reports that the frame must be shed. Admission stays
+// sequential per connection (only the reader calls it), which keeps
+// shedding deterministic.
 func (c *srvConn) admit() bool {
 	s := c.s
 	if c.inflight.Load() >= int64(s.cfg.window) {
@@ -473,8 +553,20 @@ func (c *srvConn) admit() bool {
 	}
 	c.inflight.Add(1)
 	c.m.inflight.Add(1)
-	c.workers.Add(1)
 	return true
+}
+
+// dispatch hands a unit to its own worker. A nil unit (no open burst)
+// is a no-op.
+func (c *srvConn) dispatch(u *unit) {
+	if u == nil {
+		return
+	}
+	if rec := c.s.cfg.spans; rec != nil {
+		u.sp.Start = rec.Now()
+	}
+	c.workers.Add(1)
+	go c.serveUnit(u)
 }
 
 // shed answers a request the server refused to dispatch. The send
@@ -504,103 +596,112 @@ func (c *srvConn) shedBatch(id uint64, n int) {
 	c.resp <- respEntry{fb: fb}
 }
 
-// serveBatch runs one batched admission through the service and posts
-// the grouped verdict frame. The service decides the jobs one at a time
-// in batch order and — under durability — the whole batch shares one
-// group-commit fsync; the reply leaves only after every job has its
-// durable verdict, so a verdict batch on the wire is n kept promises.
-func (c *srvConn) serveBatch(f submitBatchFrame, sp *obs.Span) {
+// serveUnit runs one dispatch unit through the Admitter and posts all of
+// its verdicts as one reply. SubmitBatchSpan keeps the unit's job order
+// on every shard and returns only once every job has its verdict —
+// under durability, once every shard's sub-batch has group-committed —
+// so each verdict on the wire is a kept promise, and a burst costs one
+// fsync per shard it touches, exactly as a batch frame does.
+func (c *srvConn) serveUnit(u *unit) {
 	defer c.workers.Done()
 	s := c.s
+	rec := s.cfg.spans
 	if s.cfg.submitGate != nil {
 		s.cfg.submitGate()
 	}
+	var usp *obs.Span
+	if rec != nil {
+		usp = &u.sp
+	}
 	start := time.Now()
-	results := s.svc.SubmitBatchSpan(f.Jobs, sp)
+	results := s.svc.SubmitBatchSpan(u.jobs, usp)
 	s.latHist.Observe(time.Since(start).Seconds())
-	<-s.inflight
-	c.inflight.Add(-1)
-	c.m.inflight.Add(-1)
+	for range u.slots {
+		<-s.inflight
+	}
+	c.inflight.Add(-int64(u.slots))
+	c.m.inflight.Add(-float64(u.slots))
 
-	out := verdictBatchFrame{ID: f.ID, Verdicts: make([]batchVerdict, len(results))}
-	for i, r := range results {
-		v := &out.Verdicts[i]
-		switch {
-		case errors.Is(r.Err, serve.ErrBackpressure):
-			// The shard queue itself is full: same overload story, same
-			// retryable verdict.
-			v.Status = statusShed
-			c.m.shedTot.Inc()
-			c.m.shed.Inc()
-		case r.Err != nil:
-			v.Status = statusError
-			v.Msg = r.Err.Error()
-			c.m.errs.Inc()
-		case r.Dec.Accepted:
-			v.Status = statusAccept
-			v.Machine = int64(r.Dec.Machine)
-			v.Start = r.Dec.Start
-			c.m.accept.Inc()
-		default:
-			v.Status = statusReject
-			c.m.reject.Inc()
+	fb := getFrameBuf()
+	if u.batch {
+		out := verdictBatchFrame{ID: u.batchID, Verdicts: make([]batchVerdict, len(results))}
+		for i, r := range results {
+			out.Verdicts[i] = c.verdict(r)
+		}
+		fb.b = appendVerdictBatch(fb.b, out)
+	} else {
+		for i, r := range results {
+			v := c.verdict(r)
+			fb.b = appendVerdict(fb.b, verdictFrame{ID: u.ids[i], Status: v.Status, Machine: v.Machine, Start: v.Start, Msg: v.Msg})
+			if rec != nil {
+				u.spans[i].Verdict = spanVerdicts[v.Status]
+			}
 		}
 	}
-	fb := getFrameBuf()
-	fb.b = appendVerdictBatch(fb.b, out)
-	c.resp <- respEntry{fb: fb, sp: sp, ns: s.cfg.spans.Now()}
+	if rec == nil {
+		u.release()
+		c.resp <- respEntry{fb: fb}
+		return
+	}
+	if u.batch {
+		u.spans[0].Verdict = batchLabel(results)
+	}
+	for _, sp := range u.spans {
+		// The frame waited from the end of its own decode until the unit
+		// was dispatched, then for as long as the unit's call queued.
+		sp.Stages[obs.StageQueue] = u.sp.Start - (sp.Start + sp.Stages[obs.StageDecode]) + u.sp.Stages[obs.StageQueue]
+		sp.Stages[obs.StageDecide] = u.sp.Stages[obs.StageDecide]
+		sp.Stages[obs.StageWAL] = u.sp.Stages[obs.StageWAL]
+		sp.Shard = u.sp.Shard
+	}
+	c.resp <- respEntry{fb: fb, u: u, ns: rec.Now()}
 }
 
-// serveRequest runs one admission through the service and posts the
-// verdict. Submit blocks until the shard decided — and, under
-// durability, until the decision is fsynced — so a verdict on the wire
-// is always a kept promise.
-func (c *srvConn) serveRequest(f submitFrame, sp *obs.Span) {
-	defer c.workers.Done()
-	s := c.s
-	if s.cfg.submitGate != nil {
-		s.cfg.submitGate()
-	}
-	start := time.Now()
-	dec, err := s.svc.SubmitSpan(f.Job, sp)
-	s.latHist.Observe(time.Since(start).Seconds())
-	<-s.inflight
-	c.inflight.Add(-1)
-	c.m.inflight.Add(-1)
-
-	v := verdictFrame{ID: f.ID}
+// verdict maps one Admitter result onto its wire verdict and counts it.
+func (c *srvConn) verdict(r serve.BatchResult) batchVerdict {
 	switch {
-	case errors.Is(err, serve.ErrBackpressure):
+	case errors.Is(r.Err, serve.ErrBackpressure):
 		// The shard queue itself is full: same overload story, same
 		// retryable verdict.
-		v.Status = statusShed
 		c.m.shedTot.Inc()
 		c.m.shed.Inc()
-		if sp != nil {
-			sp.Verdict = obs.VerdictShed
-		}
-	case err != nil:
-		v.Status = statusError
-		v.Msg = err.Error()
+		return batchVerdict{Status: statusShed}
+	case r.Err != nil:
 		c.m.errs.Inc()
-		if sp != nil {
-			sp.Verdict = obs.VerdictError
-		}
-	case dec.Accepted:
-		v.Status = statusAccept
-		v.Machine = int64(dec.Machine)
-		v.Start = dec.Start
+		return batchVerdict{Status: statusError, Msg: r.Err.Error()}
+	case r.Dec.Accepted:
 		c.m.accept.Inc()
+		return batchVerdict{Status: statusAccept, Machine: int64(r.Dec.Machine), Start: r.Dec.Start}
 	default:
-		v.Status = statusReject
 		c.m.reject.Inc()
+		return batchVerdict{Status: statusReject}
 	}
-	fb := getFrameBuf()
-	fb.b = appendVerdict(fb.b, v)
-	c.resp <- respEntry{fb: fb, sp: sp, ns: s.cfg.spans.Now()}
 }
 
-// writeLoop batches verdicts onto the wire: it blocks for one frame,
+// spanVerdicts labels a request's span by its wire status.
+var spanVerdicts = [...]string{
+	statusAccept: obs.VerdictAccept,
+	statusReject: obs.VerdictReject,
+	statusShed:   obs.VerdictShed,
+	statusError:  obs.VerdictError,
+}
+
+// batchLabel labels a batch frame's one span: accept dominates (at least
+// one commitment was made), then error, then reject.
+func batchLabel(results []serve.BatchResult) string {
+	label := obs.VerdictReject
+	for _, r := range results {
+		if r.Err == nil && r.Dec.Accepted {
+			return obs.VerdictAccept
+		}
+		if r.Err != nil {
+			label = obs.VerdictError
+		}
+	}
+	return label
+}
+
+// writeLoop batches verdicts onto the wire: it blocks for one reply,
 // then opportunistically coalesces everything already queued into the
 // buffered writer and flushes once — the mirror image of the shard
 // goroutine's batch draining. A write (or flush) that cannot complete
@@ -621,10 +722,13 @@ func (c *srvConn) writeLoop(done chan struct{}) {
 			// pooled buffers still go back — losing a frame must not
 			// leak its scratch.
 			e.fb.release()
+			if e.u != nil {
+				e.u.release()
+			}
 		}
 	}
-	// pending collects the spans of the frames coalesced into the current
-	// flush; they finish together once the flush lands on the wire.
+	// pending collects the traced units coalesced into the current flush;
+	// their frame spans finish together once the flush lands on the wire.
 	// Spans of frames lost to a write failure are dropped, matching the
 	// verdicts themselves.
 	var pending []respEntry
@@ -638,7 +742,7 @@ func (c *srvConn) writeLoop(done chan struct{}) {
 			fail(err)
 			return
 		}
-		if e.sp != nil {
+		if e.u != nil {
 			pending = append(pending, e)
 		}
 	coalesce:
@@ -654,7 +758,7 @@ func (c *srvConn) writeLoop(done chan struct{}) {
 					fail(err)
 					return
 				}
-				if more.sp != nil {
+				if more.u != nil {
 					pending = append(pending, more)
 				}
 			default:
@@ -665,14 +769,18 @@ func (c *srvConn) writeLoop(done chan struct{}) {
 			fail(err)
 			return
 		}
+		c.m.flushes.Inc()
 		if len(pending) > 0 {
 			flushedNs := rec.Now()
 			for _, p := range pending {
-				p.sp.Stages[obs.StageReply] = flushedNs - p.ns
-				rec.Finish(p.sp)
+				for _, sp := range p.u.spans {
+					sp.Stages[obs.StageReply] = flushedNs - p.ns
+					rec.Finish(sp)
+				}
+				p.u.release()
 			}
+			clear(pending)
 			pending = pending[:0]
 		}
 	}
-	bw.Flush()
 }

@@ -33,6 +33,7 @@ func newTestService(t *testing.T, shards, m int, opts ...serve.Option) *serve.Se
 // two are dispatched and exactly four come back SHED — and the four
 // sheds are errors, never algorithmic rejections.
 func TestNetShedUnderOverload(t *testing.T) {
+	checkGoroutines(t)
 	svc := newTestService(t, 1, 8)
 	defer svc.Close()
 	gate := make(chan struct{})
@@ -100,6 +101,7 @@ func TestNetShedUnderOverload(t *testing.T) {
 // connection survives: the late verdict is discarded by request id and
 // a fresh submission on the same connection still works.
 func TestNetTimeoutDistinctFromReject(t *testing.T) {
+	checkGoroutines(t)
 	svc := newTestService(t, 1, 8)
 	defer svc.Close()
 	gate := make(chan struct{})
@@ -135,6 +137,7 @@ func TestNetTimeoutDistinctFromReject(t *testing.T) {
 // and five back-to-back submits, the first two dispatch and the next
 // three are shed, deterministically.
 func TestNetWindowShedRawFrames(t *testing.T) {
+	checkGoroutines(t)
 	svc := newTestService(t, 1, 8)
 	defer svc.Close()
 	gate := make(chan struct{})
@@ -154,7 +157,7 @@ func TestNetWindowShedRawFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(nc)
-	payload, err := readFrame(br)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +198,7 @@ func TestNetWindowShedRawFrames(t *testing.T) {
 
 func readVerdict(t *testing.T, br *bufio.Reader) verdictFrame {
 	t.Helper()
-	payload, err := readFrame(br)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +256,7 @@ func (l *pipeListener) dial(t *testing.T) net.Conn {
 // pipe is unbuffered), the write timeout fires, and the server cuts the
 // connection instead of pinning a worker forever.
 func TestNetSlowClientDisconnected(t *testing.T) {
+	checkGoroutines(t)
 	svc := newTestService(t, 1, 8)
 	defer svc.Close()
 	reg := obs.NewRegistry()
@@ -270,7 +274,7 @@ func TestNetSlowClientDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(nc)
-	payload, err := readFrame(br)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,6 +310,7 @@ func TestNetSlowClientDisconnected(t *testing.T) {
 // must end in a real verdict or a clean transport/timeout error — never
 // a fabricated decision — and the underlying service must stay usable.
 func TestNetGracefulDrain(t *testing.T) {
+	checkGoroutines(t)
 	svc := newTestService(t, 2, 8)
 	defer svc.Close()
 	srv, err := Serve(svc, "127.0.0.1:0")

@@ -17,6 +17,7 @@ import (
 // dispatched request's span carries the complete stage timeline —
 // decode, queue wait, decide, reply write — with a verdict.
 func TestNetSpanLifecycle(t *testing.T) {
+	checkGoroutines(t)
 	const shards, m = 2, 8
 	const eps = 0.25
 	reg := obs.NewRegistry()
@@ -119,6 +120,7 @@ func driveClientsOpts(t *testing.T, addr string, inst job.Instance, clients, pip
 // the path behaves exactly as before (guard against accidental
 // always-on tracing).
 func TestNetSpansOffUnchanged(t *testing.T) {
+	checkGoroutines(t)
 	svc, err := serve.New(1, 4, 0.25, serve.WithDecisionLog())
 	if err != nil {
 		t.Fatal(err)

@@ -247,24 +247,59 @@ func putVerdicts(s []batchVerdict) {
 }
 
 // readFrame reads one frame and returns its verified payload. The
-// returned slice is freshly allocated and safe to retain.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	var h [wireHeaderLen]byte
-	if _, err := io.ReadFull(br, h[:]); err != nil {
+// payload lands in buf when buf has the capacity and in a fresh slice of
+// exactly the declared length otherwise; either way the returned slice
+// is the caller's scratch — it is overwritten by the next readFrame into
+// the same buffer, so callers keep it (payload[:0]) as the next call's
+// buf and decoders copy out everything they return. The length is
+// checked against maxPayload before anything is allocated, so a corrupt
+// or hostile length field can never force an allocation above it. A nil
+// buf allocates, which suits one-shot reads (handshakes, tests).
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	// Peek, not ReadFull into a stack array: the array would escape
+	// through io.Reader and cost an allocation per frame.
+	h, err := br.Peek(wireHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(h) > 0 {
+			err = io.ErrUnexpectedEOF // torn header, as io.ReadFull reports it
+		}
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(h[0:])
+	sum := binary.LittleEndian.Uint32(h[4:])
+	br.Discard(wireHeaderLen) // cannot fail: Peek just buffered these bytes
 	if n == 0 || n > maxPayload {
 		return nil, fmt.Errorf("netserve: frame length %d out of range", n)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, err
 	}
-	if crc32.Checksum(payload, wireCRC) != binary.LittleEndian.Uint32(h[4:]) {
+	if crc32.Checksum(payload, wireCRC) != sum {
 		return nil, fmt.Errorf("netserve: frame checksum mismatch")
 	}
 	return payload, nil
+}
+
+// frameBuffered reports whether br already holds one whole frame —
+// header plus the payload its length prefix declares — so that the next
+// readFrame cannot block on the connection. It only looks at bytes
+// already buffered (Peek within Buffered never reads). A frame larger
+// than the reader's buffer is never reported complete, and a bad length
+// prefix is reported only when it makes readFrame fail at once.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < wireHeaderLen {
+		return false
+	}
+	h, err := br.Peek(4)
+	if err != nil {
+		return false
+	}
+	return uint64(n) >= wireHeaderLen+uint64(binary.LittleEndian.Uint32(h))
 }
 
 func appendHello(dst []byte) []byte {

@@ -1,9 +1,16 @@
 package netserve
 
 import (
+	"bufio"
+	"bytes"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"loadmax/internal/job"
+	"loadmax/internal/obs"
+	"loadmax/internal/serve"
+	"loadmax/internal/workload"
 )
 
 // TestPooledFrameEncodeZeroAllocs is the hot-path guard for the pooled
@@ -137,4 +144,91 @@ func BenchmarkVerdictEncodeFresh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = appendVerdict(nil, v)
 	}
+}
+
+// TestReadFrameZeroAllocs guards the read loops: with a connection's
+// payload scratch warm, reading a SUBMIT frame (the server's hot read)
+// and a VERDICT frame (the client's) and decoding them must not
+// allocate — readFrame reuses the scratch instead of making a payload
+// per frame.
+func TestReadFrameZeroAllocs(t *testing.T) {
+	var wire []byte
+	wire = appendSubmit(wire, submitFrame{ID: 9, Job: job.Job{ID: 1, Proc: 2, Deadline: 10}})
+	wire = appendVerdict(wire, verdictFrame{ID: 9, Status: statusAccept, Machine: 3, Start: 1.5})
+	rd := bytes.NewReader(wire)
+	br := bufio.NewReader(rd)
+	var scratch []byte
+	read := func() {
+		rd.Reset(wire)
+		br.Reset(rd)
+		p, err := readFrame(br, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch = p[:0]
+		if _, err := decodeSubmit(p); err != nil {
+			t.Fatal(err)
+		}
+		if p, err = readFrame(br, scratch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeVerdict(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // size the scratch
+	if n := testing.AllocsPerRun(1000, read); n != 0 {
+		t.Fatalf("reading a submit and a verdict frame allocates %.1f allocs/op, want 0", n)
+	}
+}
+
+// BenchmarkLoopbackDurableSubmit is the per-job wire rung on its own: a
+// durable 4×64 Threshold service behind a server on a loopback port,
+// one client connection, and one closed-loop caller per shard, each
+// submitting its own release-ordered stream with Client.Submit. Besides
+// ns/op (one op = one job), it reports how well the server coalesces:
+// frames/unit (SUBMIT frames per dispatch unit, from
+// netserve_rx_frames_total over netserve_request_seconds' count) and
+// frames/flush (verdict frames per writer flush, over
+// netserve_tx_flushes_total).
+func BenchmarkLoopbackDurableSubmit(b *testing.B) {
+	const shards, m, eps, callers = 4, 64, 0.1, 4
+	svc, err := serve.New(shards, m, eps, serve.WithDurability(filepath.Join(b.TempDir(), "wal")))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	reg := obs.NewRegistry()
+	srv, err := Serve(svc, "127.0.0.1:0", WithServerMetrics(reg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	fam, _ := workload.ByName("poisson")
+	inst := fam.Gen(workload.Spec{N: max(b.N, callers), Eps: eps, M: shards * m, Load: 2.0, Seed: 1})
+
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < b.N; i += callers {
+				if _, err := cl.Submit(inst[i]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	frames := float64(reg.Counter("netserve_rx_frames_total").Value())
+	b.ReportMetric(frames/float64(reg.Histogram("netserve_request_seconds", nil).Count()), "frames/unit")
+	b.ReportMetric(frames/float64(reg.Counter("netserve_tx_flushes_total").Value()), "frames/flush")
 }

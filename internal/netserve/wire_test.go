@@ -27,11 +27,11 @@ func TestWireRoundTrip(t *testing.T) {
 
 	br := bufio.NewReader(bytes.NewReader(buf))
 
-	p, err := readFrame(br)
+	p, err := readFrame(br, nil)
 	if err != nil || decodeHello(p) != nil {
 		t.Fatalf("hello round-trip: %v / %v", err, decodeHello(p))
 	}
-	p, err = readFrame(br)
+	p, err = readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if ack.Window != 128 || ack.Shards != 7 || ack.Machines != 64 || ack.Eps != awkward {
 		t.Fatalf("hello-ack mangled: %+v", ack)
 	}
-	p, err = readFrame(br)
+	p, err = readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if gotSub != sub {
 		t.Fatalf("submit mangled: %+v != %+v", gotSub, sub)
 	}
-	p, err = readFrame(br)
+	p, err = readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if gotVer != ver {
 		t.Fatalf("verdict mangled: %+v != %+v", gotVer, ver)
 	}
-	p, err = readFrame(br)
+	p, err = readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 	buf = appendVerdictBatch(buf, ver)
 	br := bufio.NewReader(bytes.NewReader(buf))
 
-	p, err := readFrame(br)
+	p, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 			t.Fatalf("job %d mangled: %+v != %+v", i, gotSub.Jobs[i], sub.Jobs[i])
 		}
 	}
-	p, err = readFrame(br)
+	p, err = readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestWireBatchTornFrame(t *testing.T) {
 		{ID: 2, Release: 1, Proc: 2, Deadline: 20},
 	}})
 	for cut := 0; cut < len(buf); cut++ {
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader(buf[:cut]))); err == nil {
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader(buf[:cut])), nil); err == nil {
 			t.Fatalf("frame torn at byte %d decoded cleanly", cut)
 		}
 	}
@@ -202,7 +202,7 @@ func TestWireBatchRejectsCorruption(t *testing.T) {
 	for i := wireHeaderLen; i < len(buf); i++ {
 		mut := append([]byte(nil), buf...)
 		mut[i] ^= 0x40
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader(mut))); err == nil {
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader(mut)), nil); err == nil {
 			t.Fatalf("corrupt batch byte %d went undetected", i)
 		}
 	}
@@ -215,7 +215,7 @@ func TestWireRejectsCorruption(t *testing.T) {
 	for i := wireHeaderLen; i < len(buf); i++ {
 		mut := append([]byte(nil), buf...)
 		mut[i] ^= 0x40
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader(mut))); err == nil {
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader(mut)), nil); err == nil {
 			t.Fatalf("corrupt byte %d went undetected", i)
 		}
 	}

@@ -283,3 +283,43 @@ func TestSubmitBatchSpan(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitBatchPooledAllocs is the guard for the pooled batch path:
+// an untraced, steady-state SubmitBatch of four jobs that land on four
+// different shards allocates only the result slice it returns — the
+// per-shard sub-batch requests, their job and result slices, done
+// channels and the routing scratch all come from the pool.
+func TestSubmitBatchPooledAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool randomly drops items under -race; alloc counts are not meaningful")
+	}
+	const shards = 4
+	svc, err := New(shards, 2, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	// One job per shard, found through the service's own router.
+	var jobs []job.Job
+	used := map[int]bool{}
+	for id := 1; len(jobs) < shards; id++ {
+		j := job.Job{ID: id, Proc: 0.001, Deadline: 1e12}
+		if sh := svc.Policy().Route(j, shards); !used[sh] {
+			used[sh] = true
+			jobs = append(jobs, j)
+		}
+	}
+	submit := func() {
+		for _, r := range svc.SubmitBatch(jobs) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	for i := 0; i < 100; i++ {
+		submit() // warm the pools and the shard scratch
+	}
+	if allocs := testing.AllocsPerRun(500, submit); allocs > 1 {
+		t.Fatalf("untraced SubmitBatch of %d jobs over %d shards allocates %.2f times per call, want ≤ 1", len(jobs), shards, allocs)
+	}
+}

@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,8 +203,8 @@ const (
 // A batched submission (SubmitBatch) sets jobs/out instead of job/dec:
 // the whole sub-batch rides the shard queue as ONE channel send, the
 // shard decides the jobs one at a time in batch order, and out[i] is
-// job i's result. Batch requests are not pooled — their allocation is
-// amortized over the batch.
+// job i's result. Batch requests live in a pooled batchCall, one per
+// shard, with their jobs/out slices and done channel reused.
 type request struct {
 	job  job.Job
 	ctl  ctlOp
@@ -235,8 +236,9 @@ type Service struct {
 	admission policy.Builder // constructs each shard's scheduler and the replay verifiers
 	bp        Backpressure
 	shards    []*shard
-	pool      sync.Pool
-	durDir    string // "" when not durable
+	pool      sync.Pool // *request for single submissions
+	batchPool sync.Pool // *batchCall for SubmitBatchSpan
+	durDir    string    // "" when not durable
 	spans     *obs.SpanRecorder
 
 	backpressure *obs.Counter
@@ -350,6 +352,7 @@ func build(shards, m int, eps float64, cfg *config) (*Service, error) {
 	s.pool.New = func() any {
 		return &request{done: make(chan response, 1)}
 	}
+	s.batchPool.New = func() any { return newBatchCall(shards) }
 	s.backpressure = cfg.reg.Counter("serve_backpressure_total")
 	s.fsyncHist = cfg.reg.Histogram("serve_wal_fsync_seconds", obs.ExpBucketsRange(1e-6, 4, 12))
 	s.walRecords = cfg.reg.Counter("serve_wal_records_total")
@@ -534,13 +537,14 @@ func (s *Service) SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []BatchResult {
 	// Route per job, then group into per-shard sub-batches preserving
 	// input order — a batch that splits across shards is just N
 	// independent sub-batches.
-	subIdx := make([][]int, nsh)
+	call := s.batchPool.Get().(*batchCall)
 	for i, j := range jobs {
 		idx := s.policy.Route(j, nsh)
 		if idx < 0 || idx >= nsh {
 			idx = ((idx % nsh) + nsh) % nsh
 		}
-		subIdx[idx] = append(subIdx[idx], i)
+		call.reqs[idx].jobs = append(call.reqs[idx].jobs, j)
+		call.pos[idx] = append(call.pos[idx], i)
 	}
 	traced := s.spans != nil && sp != nil
 	var enqNs int64
@@ -548,34 +552,27 @@ func (s *Service) SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []BatchResult {
 		enqNs = sp.Start + sp.Total() // derived mark, as in SubmitSpan
 	}
 
-	var reqs []*request
-	var reqIdxs [][]int
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		for i := range out {
 			out[i].Err = ErrClosed
 		}
+		s.batchPool.Put(call.reset())
 		return out
 	}
-	for shIdx, idxs := range subIdx {
-		if len(idxs) == 0 {
+	for shIdx := range call.reqs {
+		req := &call.reqs[shIdx]
+		if len(req.jobs) == 0 {
 			continue
 		}
-		sub := make([]job.Job, len(idxs))
-		for k, i := range idxs {
-			sub[k] = jobs[i]
-		}
-		req := &request{
-			jobs: sub,
-			out:  make([]BatchResult, len(idxs)),
-			done: make(chan response, 1),
-		}
+		req.out = slices.Grow(req.out[:0], len(req.jobs))[:len(req.jobs)]
 		if traced {
 			// Each sub-batch gets its own span so concurrent shard
 			// goroutines never share one; they are merged below once
 			// every sub-batch has replied.
-			req.sp = &obs.Span{Start: sp.Start}
+			call.spans[shIdx] = obs.Span{Start: sp.Start}
+			req.sp = &call.spans[shIdx]
 			req.enqNs = enqNs
 		}
 		sh := s.shards[shIdx]
@@ -588,43 +585,43 @@ func (s *Service) SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []BatchResult {
 				} else {
 					s.backpressure.Stripe(shIdx).Inc()
 				}
-				for _, i := range idxs {
+				for _, i := range call.pos[shIdx] {
 					out[i].Err = err
 				}
 				continue
 			}
 		} else if !sh.q.push(req) {
-			for _, i := range idxs {
+			for _, i := range call.pos[shIdx] {
 				out[i].Err = ErrClosed
 			}
 			continue
 		}
-		reqs = append(reqs, req)
-		reqIdxs = append(reqIdxs, idxs)
+		call.pushed[shIdx] = true
 	}
 	s.mu.RUnlock()
 
-	for k, req := range reqs {
+	var queueMax, walMax, decideSum int64
+	shard, first := int32(0), true
+	for shIdx := range call.reqs {
+		if !call.pushed[shIdx] {
+			continue
+		}
+		req := &call.reqs[shIdx]
 		<-req.done
-		for pos, i := range reqIdxs[k] {
+		for pos, i := range call.pos[shIdx] {
 			out[i] = req.out[pos]
 		}
-	}
-	if traced {
-		var queueMax, walMax, decideSum int64
-		shard := int32(0)
-		for k, req := range reqs {
-			if k == 0 {
-				shard = req.sp.Shard
+		if traced {
+			if first {
+				shard, first = req.sp.Shard, false
 			}
-			if q := req.sp.Stages[obs.StageQueue]; q > queueMax {
-				queueMax = q
-			}
-			if w := req.sp.Stages[obs.StageWAL]; w > walMax {
-				walMax = w
-			}
+			queueMax = max(queueMax, req.sp.Stages[obs.StageQueue])
+			walMax = max(walMax, req.sp.Stages[obs.StageWAL])
 			decideSum += req.sp.Stages[obs.StageDecide]
 		}
+	}
+	s.batchPool.Put(call.reset())
+	if traced {
 		sp.Shard = shard
 		sp.Stages[obs.StageQueue] = queueMax
 		sp.Stages[obs.StageWAL] = walMax
@@ -632,6 +629,46 @@ func (s *Service) SubmitBatchSpan(jobs []job.Job, sp *obs.Span) []BatchResult {
 		sp.Verdict = batchSpanVerdict(out)
 	}
 	return out
+}
+
+// batchCall is the reusable scratch of one SubmitBatchSpan call: one
+// sub-batch request per shard (jobs, results and done channel kept
+// across calls), each sub-batch's input positions, and the per-shard
+// spans a traced call merges. Pooled on the Service, so a steady-state
+// call allocates only the result slice it returns. A call takes it from
+// the pool, waits for every request it pushed to reply — after which no
+// shard touches it — and only then puts it back.
+type batchCall struct {
+	reqs   []request  // reqs[i] is shard i's sub-batch
+	pos    [][]int    // pos[i][k] is the input index of reqs[i].jobs[k]
+	pushed []bool     // reqs[i] is in shard i's queue this call
+	spans  []obs.Span // traced calls only: reqs[i].sp points at spans[i]
+}
+
+func newBatchCall(shards int) *batchCall {
+	c := &batchCall{
+		reqs:   make([]request, shards),
+		pos:    make([][]int, shards),
+		pushed: make([]bool, shards),
+		spans:  make([]obs.Span, shards),
+	}
+	for i := range c.reqs {
+		c.reqs[i].done = make(chan response, 1)
+	}
+	return c
+}
+
+// reset empties c for the pool, keeping every slice's capacity. Results
+// are cleared so pooled scratch does not pin error values.
+func (c *batchCall) reset() *batchCall {
+	for i := range c.reqs {
+		r := &c.reqs[i]
+		clear(r.out)
+		r.jobs, r.out, r.sp = r.jobs[:0], r.out[:0], nil
+		c.pos[i] = c.pos[i][:0]
+		c.pushed[i] = false
+	}
+	return c
 }
 
 // batchSpanVerdict labels a batch span: accept dominates (at least one
